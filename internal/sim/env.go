@@ -6,15 +6,17 @@ import (
 	"time"
 )
 
-// event is a single scheduled occurrence: either a callback (fn) or the
-// wakeup of a blocked process (proc). Splitting the two cases lets the
-// scheduler dispatch process wakeups — by far the common case — without
-// allocating a closure per Sleep/Broadcast/Release.
+// event is a single scheduled occurrence: a callback (fn), the wakeup of a
+// blocked process (proc), or a WaitTimeout timer (tw). Keeping the latter
+// two apart from fn lets the loop dispatch process wakeups — by far the
+// common case — without allocating a closure per Sleep, Broadcast, Release
+// or WaitTimeout.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among simultaneous events
 	fn   func()
 	proc *Proc
+	tw   *timedWait
 }
 
 // eventLess orders the heap by (time, insertion sequence).
@@ -38,6 +40,11 @@ type Env struct {
 
 	liveProcs int
 	blocked   int // procs waiting on a Signal (not a timer)
+
+	// done carries the baton back to RunUntil when a process holding the
+	// loop finds nothing left to run before the deadline; procPanic is the
+	// panic, if any, that ended the run on a process goroutine.
+	done      chan struct{}
 	procPanic interface{}
 
 	// running/deadline mirror the active RunUntil call so that Sleep can
@@ -65,7 +72,7 @@ func (e *Env) SetAfterEvent(fn func()) { e.afterEvent = fn }
 // NewEnv returns an environment with the clock at zero and the PRNG seeded
 // with seed. The same seed always produces the same run.
 func NewEnv(seed uint64) *Env {
-	return &Env{rng: NewRNG(seed)}
+	return &Env{rng: NewRNG(seed), done: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -92,7 +99,7 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 // recycle returns a dequeued event to the pool. Callers must have copied
 // out any field they still need.
 func (e *Env) recycle(ev *event) {
-	ev.fn, ev.proc = nil, nil
+	ev.fn, ev.proc, ev.tw = nil, nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -139,8 +146,9 @@ func (e *Env) pop() *event {
 	return top
 }
 
-// Schedule arranges for fn to run after delay d. Callbacks run on the
-// scheduler itself, so they must not block; use Go for blocking logic.
+// Schedule arranges for fn to run after delay d. Callbacks run on whichever
+// goroutine holds the event loop, so they must not block; use Go for
+// blocking logic.
 func (e *Env) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -171,15 +179,46 @@ func (e *Env) Run() Time {
 
 // RunUntil drives the simulation until the event queue is empty or the next
 // event would fire after the deadline. Events exactly at the deadline run.
+// A deadline before Now runs nothing and leaves the clock where it is.
+//
+// RunUntil only starts and finishes the loop: it runs events until the
+// first process wakeup and hands the baton to that process, which carries
+// the loop on (see Proc.block). The last holder hands it back on e.done.
 func (e *Env) RunUntil(deadline Time) Time {
+	if deadline < e.now {
+		return e.now
+	}
 	e.running = true
 	e.deadline = deadline
 	defer func() { e.running = false }()
+	if p := e.loop(); p != nil {
+		p.resume <- struct{}{}
+		<-e.done
+		if r := e.procPanic; r != nil {
+			e.procPanic = nil
+			panic(r)
+		}
+	}
+	if len(e.events) > 0 {
+		e.now = deadline
+		return e.now
+	}
+	if e.liveProcs > 0 {
+		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at %v", e.liveProcs, e.now))
+	}
+	return e.now
+}
+
+// loop runs events in (at, seq) order until it dequeues a process wakeup,
+// which it returns; the caller hands that process the CPU, and the
+// wakeup's afterEvent hook runs when the process next blocks or exits.
+// loop returns nil when the queue is empty or the next event lies past the
+// deadline.
+func (e *Env) loop() *Proc {
 	for len(e.events) > 0 {
 		next := e.events[0]
-		if next.at > deadline {
-			e.now = deadline
-			return e.now
+		if next.at > e.deadline {
+			return nil
 		}
 		e.pop()
 		if next.at < e.now {
@@ -187,22 +226,56 @@ func (e *Env) RunUntil(deadline Time) Time {
 		}
 		advanced := next.at > e.now
 		e.now = next.at
-		fn, p := next.fn, next.proc
+		fn, p, tw := next.fn, next.proc, next.tw
 		e.recycle(next)
 		e.noteEvent(advanced)
-		if p != nil {
-			p.dispatch()
-		} else {
+		switch {
+		case p != nil:
+			return p
+		case tw != nil:
+			if tw.expire() {
+				return tw.proc
+			}
+		default:
 			fn()
 		}
 		if e.afterEvent != nil {
 			e.afterEvent()
 		}
 	}
-	if e.liveProcs > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at %v", e.liveProcs, e.now))
+	return nil
+}
+
+// pass is the handoff point of a process goroutine that has finished its
+// turn: it runs the current event's afterEvent hook and the loop, then
+// passes the baton to the next process, or back to RunUntil. It reports
+// whether the next wakeup is self's own, in which case self simply keeps
+// running. A panic raised on the loop — a callback's or a watchdog
+// breach — is recovered here, so it never unwinds self's body, and is
+// re-raised unchanged by RunUntil.
+func (e *Env) pass(self *Proc) bool {
+	next, r := e.hold()
+	switch {
+	case r != nil:
+		e.procPanic = r
+	case next == self:
+		return true
+	case next != nil:
+		next.resume <- struct{}{}
+		return false
 	}
-	return e.now
+	e.done <- struct{}{}
+	return false
+}
+
+// hold runs the afterEvent hook and the loop on behalf of a process,
+// returning the next process to run or the panic that stopped the loop.
+func (e *Env) hold() (next *Proc, r interface{}) {
+	defer func() { r = recover() }()
+	if e.afterEvent != nil {
+		e.afterEvent()
+	}
+	return e.loop(), nil
 }
 
 // Idle reports whether no events are pending.
@@ -214,9 +287,7 @@ func (e *Env) Idle() bool { return len(e.events) == 0 }
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan struct{} // scheduler -> proc
-	yield  chan struct{} // proc -> scheduler
-	dead   bool
+	resume chan struct{} // baton: receiving it means this process runs
 }
 
 // Name returns the process name given to Go.
@@ -234,63 +305,56 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		env:    e,
 		name:   name,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
 	e.liveProcs++
 	go func() {
 		<-p.resume // wait for first dispatch
-		defer func() {
-			// A panic in a process must surface on the scheduler instead
-			// of deadlocking the handshake. Watchdog breaches stay typed
-			// (*BudgetError) so the experiment layer classifies them the
-			// same whether they fired on the scheduler or — via the inline
-			// Sleep fast path — on a process goroutine.
-			if r := recover(); r != nil {
-				if be, ok := r.(*BudgetError); ok {
-					e.procPanic = be
-				} else {
-					e.procPanic = fmt.Sprintf("%v\n\nprocess goroutine stack:\n%s", r, debug.Stack())
-				}
-			}
-			p.dead = true
-			e.liveProcs--
-			p.yield <- struct{}{}
-		}()
+		defer p.exit()
 		fn(p)
 	}()
 	e.scheduleProc(0, p)
 	return p
 }
 
-// dispatch hands the CPU to the process and waits until it blocks again or
-// terminates. Called only from the scheduler.
-func (p *Proc) dispatch() {
-	p.resume <- struct{}{}
-	<-p.yield
-	if p.env.procPanic != nil {
-		r := p.env.procPanic
-		p.env.procPanic = nil
-		panic(r)
+// exit retires a returned or panicked process and passes the baton on.
+// A panic in the process body ends the run: it is recorded for RunUntil
+// to re-raise. Watchdog breaches stay typed (*BudgetError) so the
+// experiment layer classifies them the same whichever goroutine held the
+// loop when they fired.
+func (p *Proc) exit() {
+	e := p.env
+	e.liveProcs--
+	if r := recover(); r != nil {
+		if be, ok := r.(*BudgetError); ok {
+			e.procPanic = be
+		} else {
+			e.procPanic = fmt.Sprintf("%v\n\nprocess goroutine stack:\n%s", r, debug.Stack())
+		}
+		e.done <- struct{}{}
+		return
 	}
+	e.pass(p)
 }
 
-// block suspends the calling process until dispatch is invoked again.
+// block suspends the calling process until its next wakeup event. The
+// process carries the event loop itself until that event or another
+// process's wakeup comes up, so a switch costs one channel send.
 func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.env.pass(p) {
+		<-p.resume
+	}
 }
 
 // Sleep suspends the process for virtual duration d.
 //
 // Fast path: when the wakeup would be the very next event processed — no
-// pending event fires at or before it — handing control back to the
-// scheduler is pure overhead (two channel handshakes and a heap cycle), so
-// the clock advances inline and the process keeps running. The observable
-// sequence is bit-identical to the queued path: the skipped wakeup is still
-// counted and budget-checked by noteEvent, the current event's afterEvent
-// hook still runs first, and no other event could have run in between
-// (nothing is queued in the window, and nothing can be scheduled into it
-// because no other code runs).
+// pending event fires at or before it — running the loop is pure overhead
+// (a heap push and pop), so the clock advances inline and the process
+// keeps running. The observable sequence is bit-identical to the queued
+// path: the skipped wakeup is still counted and budget-checked by
+// noteEvent, the current event's afterEvent hook still runs first, and no
+// other event could have run in between (nothing is queued in the window,
+// and nothing can be scheduled into it because no other code runs).
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -331,9 +395,29 @@ type Signal struct {
 // timedWait tracks one WaitTimeout waiter: whoever resolves it first —
 // Broadcast or the timer — sets done.
 type timedWait struct {
+	sig     *Signal
 	proc    *Proc
 	done    bool
 	expired bool
+}
+
+// expire resolves the wait on its timer event. It reports whether the
+// timer won; a timer that fires after a Broadcast is a no-op.
+func (w *timedWait) expire() bool {
+	if w.done {
+		return false
+	}
+	w.done = true
+	w.expired = true
+	s := w.sig
+	for i, x := range s.timed {
+		if x == w {
+			s.timed = append(s.timed[:i], s.timed[i+1:]...)
+			break
+		}
+	}
+	s.env.blocked--
+	return true
 }
 
 // NewSignal returns a signal bound to env.
@@ -351,25 +435,16 @@ func (s *Signal) Wait(p *Proc) {
 // event always runs — as a no-op when the waiter was already woken — so
 // the run's final virtual time does not depend on which path won.
 func (s *Signal) WaitTimeout(p *Proc, d Duration) (signaled bool) {
-	w := &timedWait{proc: p}
+	if d < 0 {
+		panic("sim: negative delay")
+	}
+	w := &timedWait{sig: s, proc: p}
 	s.timed = append(s.timed, w)
 	e := s.env
 	e.blocked++
-	e.Schedule(d, func() {
-		if w.done {
-			return
-		}
-		w.done = true
-		w.expired = true
-		for i, x := range s.timed {
-			if x == w {
-				s.timed = append(s.timed[:i], s.timed[i+1:]...)
-				break
-			}
-		}
-		e.blocked--
-		p.dispatch()
-	})
+	ev := e.newEvent(e.now.Add(d), nil, nil)
+	ev.tw = w
+	e.push(ev)
 	p.block()
 	return !w.expired
 }

@@ -139,6 +139,25 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestRunUntilPastDeadlineKeepsClock: a deadline before Now runs nothing
+// and must not move the clock backwards.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	env := NewEnv(1)
+	fired := false
+	env.Schedule(10*Millisecond, func() {})
+	env.Schedule(20*Millisecond, func() { fired = true })
+	env.RunUntil(Time(10 * Millisecond))
+	if end := env.RunUntil(Time(5 * Millisecond)); end != Time(10*Millisecond) || env.Now() != end {
+		t.Fatalf("RunUntil(5ms) at 10ms returned %v with Now() = %v, want 10ms for both", end, env.Now())
+	}
+	if fired {
+		t.Fatal("event past the deadline fired")
+	}
+	if end := env.Run(); end != Time(20*Millisecond) || !fired {
+		t.Fatalf("Run ended at %v (fired %v), want the 20ms event to fire", end, fired)
+	}
+}
+
 func TestDeadlockPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
