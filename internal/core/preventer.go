@@ -49,7 +49,11 @@ type Preventer struct {
 	Env *sim.Env
 	Cfg PreventerConfig
 
-	active int
+	// bufs holds the emulation buffer of every page under emulation. It
+	// lives here rather than in hostmm.Page because at most MaxConcurrent
+	// pages are emulated at once, while every host page would carry the
+	// field.
+	bufs map[*hostmm.Page]*emuBuf
 }
 
 // NewPreventer creates a Preventer.
@@ -63,14 +67,11 @@ func NewPreventer(mm *hostmm.Manager, met *metrics.Set, env *sim.Env, cfg Preven
 	if cfg.PerWriteCost == 0 {
 		cfg.PerWriteCost = DefaultPreventerConfig().PerWriteCost
 	}
-	return &Preventer{MM: mm, Met: met, Env: env, Cfg: cfg}
+	return &Preventer{MM: mm, Met: met, Env: env, Cfg: cfg, bufs: make(map[*hostmm.Page]*emuBuf)}
 }
 
 // Active reports how many pages are currently under emulation.
-func (pv *Preventer) Active() int { return pv.active }
-
-// buf extracts the emulation state from a page.
-func buf(pg *hostmm.Page) *emuBuf { return pg.Emu.(*emuBuf) }
+func (pv *Preventer) Active() int { return len(pv.bufs) }
 
 // HandleWriteFault is called on an EPT write violation against a
 // swapped-out or file-non-resident page. It returns true if the Preventer
@@ -98,7 +99,7 @@ func (pv *Preventer) HandleWriteFault(p *sim.Proc, pg *hostmm.Page, off, n int, 
 		// already lost; do not start emulating.
 		return false
 	}
-	if pv.active >= pv.Cfg.MaxConcurrent {
+	if len(pv.bufs) >= pv.Cfg.MaxConcurrent {
 		return false
 	}
 	pv.MM.BeginEmulation(pg)
@@ -106,8 +107,7 @@ func (pv *Preventer) HandleWriteFault(p *sim.Proc, pg *hostmm.Page, off, n int, 
 		pv.MM.Trace.Add(pv.Env.Now(), trace.Preventer, "emulate gfn=%d", pg.ID)
 	}
 	b := &emuBuf{pg: pg, firstWrite: pv.Env.Now(), done: sim.NewSignal(pv.Env)}
-	pg.Emu = b
-	pv.active++
+	pv.bufs[pg] = b
 	pv.Met.Inc(metrics.PreventerStarts)
 	pv.applyWrite(p, b, off, n)
 	if pg.State == hostmm.Emulated {
@@ -121,7 +121,7 @@ func (pv *Preventer) HandleWriteFault(p *sim.Proc, pg *hostmm.Page, off, n int, 
 // anything else forces a merge, blocking the accessor until the old
 // content arrives.
 func (pv *Preventer) OnAccess(p *sim.Proc, pg *hostmm.Page, write bool, off, n int, rep bool) {
-	b := buf(pg)
+	b := pv.bufs[pg]
 	if b.merging {
 		pv.waitResident(p, b)
 		return
@@ -149,7 +149,7 @@ func (pv *Preventer) OnAccess(p *sim.Proc, pg *hostmm.Page, write bool, off, n i
 // (content preserved: needed before the page is read via DMA) versus a
 // remap (content about to be superseded: virtio read targets, balloon).
 func (pv *Preventer) ForceFinalize(p *sim.Proc, pg *hostmm.Page, keepContent bool) {
-	b := buf(pg)
+	b := pv.bufs[pg]
 	if b.merging {
 		pv.waitResident(p, b)
 		return
@@ -213,7 +213,7 @@ func (pv *Preventer) waitResident(p *sim.Proc, b *emuBuf) {
 // armDeadline schedules the 1 ms bound on emulation lifetime.
 func (pv *Preventer) armDeadline(b *emuBuf) {
 	pv.Env.Schedule(pv.Cfg.Deadline, func() {
-		if b.pg.State == hostmm.Emulated && !b.merging && b.pg.Emu == b {
+		if b.pg.State == hostmm.Emulated && !b.merging && pv.bufs[b.pg] == b {
 			pv.startMerge(b)
 		}
 	})
@@ -224,8 +224,7 @@ func (pv *Preventer) armDeadline(b *emuBuf) {
 // Preventer latency histogram (the paper's 1 ms deadline bounds its tail
 // only when merges do not queue behind a busy disk).
 func (pv *Preventer) release(b *emuBuf) {
-	pv.active--
-	b.pg.Emu = nil
+	delete(pv.bufs, b.pg)
 	b.done.Broadcast()
 	pv.Met.Histogram(metrics.HistPreventerLife).Observe(pv.Env.Now().Sub(b.firstWrite))
 }

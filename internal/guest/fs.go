@@ -1,6 +1,10 @@
 package guest
 
-import "fmt"
+import (
+	"fmt"
+
+	"vswapsim/internal/mem"
+)
 
 // VFile is a file on the guest's virtual disk. The tiny extent filesystem
 // lays files out contiguously (like a freshly formatted ext4 writing large
@@ -86,66 +90,62 @@ type swapOwner struct {
 // guestSwap allocates slots in the guest swap partition, lowest-first.
 type guestSwap struct {
 	start int64 // vdisk block of slot 0
-	free  []bool
+	free  mem.Table[bool]
 	hint  int64
 	inUse int
-	// owner is a dense per-slot table (pr == nil marks an unowned slot):
-	// swap readahead probes consecutive slots on every guest swap-in, so
-	// lookups must be indexed loads rather than map probes.
-	owner []swapOwner
+	// owner is a per-slot table (pr == nil marks an unowned slot): swap
+	// readahead probes consecutive slots on every guest swap-in, so
+	// lookups must be indexed loads rather than map probes. Both tables
+	// allocate per chunk on first use.
+	owner mem.Table[swapOwner]
 }
 
 func newGuestSwap(start, blocks int64) *guestSwap {
-	g := &guestSwap{
+	return &guestSwap{
 		start: start,
-		free:  make([]bool, blocks),
-		owner: make([]swapOwner, blocks),
+		free:  mem.NewTable(blocks, true),
+		owner: mem.NewTable(blocks, swapOwner{}),
 	}
-	for i := range g.free {
-		g.free[i] = true
-	}
-	return g
 }
 
 func (g *guestSwap) alloc() int64 {
-	for i := g.hint; i < int64(len(g.free)); i++ {
-		if g.free[i] {
-			g.free[i] = false
-			g.hint = i + 1
-			g.inUse++
-			return i
-		}
+	i := g.free.Index(g.hint, g.free.Len(), true)
+	if i < 0 {
+		return -1
 	}
-	return -1
+	g.free.Set(i, false)
+	g.hint = i + 1
+	g.inUse++
+	return i
 }
 
 func (g *guestSwap) release(slot int64) {
-	if slot < 0 || slot >= int64(len(g.free)) || g.free[slot] {
+	if slot < 0 || slot >= g.free.Len() || g.free.Get(slot) {
 		panic(fmt.Sprintf("guest: freeing bad swap slot %d", slot))
 	}
-	g.free[slot] = true
+	g.free.Set(slot, true)
 	if slot < g.hint {
 		g.hint = slot
 	}
 	g.inUse--
-	g.owner[slot] = swapOwner{}
+	g.owner.Set(slot, swapOwner{})
 }
 
 // setOwner records which process page a slot holds.
 func (g *guestSwap) setOwner(slot int64, pr *Process, idx int) {
-	g.owner[slot] = swapOwner{pr: pr, idx: idx}
+	g.owner.Set(slot, swapOwner{pr: pr, idx: idx})
 }
 
 // ownerAt returns the owner of slot (pr == nil when unowned or out of
 // range).
 func (g *guestSwap) ownerAt(slot int64) swapOwner {
-	if slot < 0 || slot >= int64(len(g.owner)) {
+	if slot < 0 || slot >= g.owner.Len() {
 		return swapOwner{}
 	}
-	return g.owner[slot]
+	return g.owner.Get(slot)
 }
 
 // block translates a slot to its vdisk block.
 func (g *guestSwap) block(slot int64) int64 { return g.start + slot }
 
-func (g *guestSwap) full() bool { return g.inUse == len(g.free) }
+func (g *guestSwap) full() bool { return int64(g.inUse) == g.free.Len() }

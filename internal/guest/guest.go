@@ -56,15 +56,16 @@ const nilGFN = int32(-1)
 
 // pageInfo is the guest kernel's metadata for one of its own frames. It is
 // kept compact (array-of-structs indexed by GFN) because large guests have
-// hundreds of thousands of frames.
+// hundreds of thousands of frames, and pointer-free so the garbage
+// collector never scans the array.
 type pageInfo struct {
 	kind       uint8
 	dirty      bool
 	referenced bool
 	list       uint8 // listNone or a list id
 	prev, next int32
-	block      int64    // vdisk block (cache pages) or anon index (anon pages)
-	proc       *Process // owner (anon pages)
+	proc       int32 // owner (anon pages): Process.id, 0 = none
+	block      int64 // vdisk block (cache pages) or anon index (anon pages)
 }
 
 // list ids

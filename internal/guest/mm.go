@@ -29,7 +29,7 @@ func (os *OS) putFree(gfn int32) {
 	pi.kind = kindFree
 	pi.dirty = false
 	pi.referenced = false
-	pi.proc = nil
+	pi.proc = 0
 	pi.block = 0
 	os.freeList = append(os.freeList, gfn)
 	os.freePool++
@@ -177,7 +177,7 @@ func (os *OS) shrinkLists(t *Thread, target int) (freedN, cheapN, ioN int) {
 			list.remove(os, gfn)
 			writeback = append(writeback, wbItem{
 				gfn: gfn, block: os.swap.block(slot), anon: true, slot: slot,
-				proc: pi.proc, idx: pi.block,
+				proc: os.procOf(pi), idx: pi.block,
 			})
 		default:
 			panic(fmt.Sprintf("guest: kind %d on LRU", pi.kind))
@@ -214,7 +214,7 @@ func (os *OS) writebackAndFree(t *Thread, items []wbItem) int {
 		if w.anon {
 			// The page may have vanished while the write was in flight
 			// (OOM kill of its process): release the now-unused slot.
-			if pi.kind != kindAnon || pi.proc != w.proc || pi.block != w.idx ||
+			if pi.kind != kindAnon || pi.proc != w.proc.id || pi.block != w.idx ||
 				w.proc.slots[w.idx].gfn != w.gfn {
 				os.swap.release(w.slot)
 				continue

@@ -27,23 +27,42 @@ type Process struct {
 	Name     string
 	OS       *OS
 	Killed   bool
+	id       int32 // 1 + index in OS.procs; pageInfo.proc holds it
 	slots    []anonSlot
 	resident int
 }
 
 // NewProcess registers a process with the OS.
 func (os *OS) NewProcess(name string) *Process {
-	pr := &Process{Name: name, OS: os}
+	pr := &Process{Name: name, OS: os, id: int32(len(os.procs) + 1)}
 	os.procs = append(os.procs, pr)
 	return pr
+}
+
+// procOf returns the process owning an anonymous frame (nil if none).
+func (os *OS) procOf(pi *pageInfo) *Process {
+	if pi.proc == 0 {
+		return nil
+	}
+	return os.procs[pi.proc-1]
 }
 
 // Reserve extends the process's virtual address space by n pages (like
 // brk/mmap: no frames are allocated until first touch).
 func (pr *Process) Reserve(n int) (firstIdx int) {
 	firstIdx = len(pr.slots)
-	for i := 0; i < n; i++ {
-		pr.slots = append(pr.slots, anonSlot{state: anonNone, gfn: nilGFN, slot: -1})
+	if cap(pr.slots)-firstIdx < n {
+		// Grow once, to exactly the new size: processes reserve a few
+		// large regions, so spare capacity would only be waste. An
+		// explicit make+copy is one allocation in every build mode
+		// (slices.Grow makes two under the race detector).
+		grown := make([]anonSlot, firstIdx, firstIdx+n)
+		copy(grown, pr.slots)
+		pr.slots = grown
+	}
+	pr.slots = pr.slots[:firstIdx+n]
+	for i := firstIdx; i < len(pr.slots); i++ {
+		pr.slots[i] = anonSlot{state: anonNone, gfn: nilGFN, slot: -1}
 	}
 	return firstIdx
 }
@@ -257,7 +276,7 @@ func (t *Thread) FreeAnon(pr *Process, idx int) {
 func (os *OS) bindAnon(pr *Process, idx int, gfn int32) {
 	pi := &os.pages[gfn]
 	pi.kind = kindAnon
-	pi.proc = pr
+	pi.proc = pr.id
 	pi.block = int64(idx)
 	pi.referenced = true
 	pi.dirty = true

@@ -26,7 +26,7 @@ func (m *Manager) Audit() error {
 			n := 0
 			for pg := l.head; pg != nil; pg = pg.next {
 				n++
-				if pg.list != l {
+				if !l.holds(pg) {
 					return fmt.Errorf("%s: page %d has wrong list backref", l.name, pg.ID)
 				}
 				if pg.State != wantState {
@@ -46,16 +46,16 @@ func (m *Manager) Audit() error {
 			listed += n
 			return nil
 		}
-		if err := check(&cg.activeAnon, ResidentAnon); err != nil {
+		if err := check(&cg.lists[listActiveAnon], ResidentAnon); err != nil {
 			return err
 		}
-		if err := check(&cg.inactiveAnon, ResidentAnon); err != nil {
+		if err := check(&cg.lists[listInactiveAnon], ResidentAnon); err != nil {
 			return err
 		}
-		if err := check(&cg.activeFile, ResidentFile); err != nil {
+		if err := check(&cg.lists[listActiveFile], ResidentFile); err != nil {
 			return err
 		}
-		if err := check(&cg.inactiveFile, ResidentFile); err != nil {
+		if err := check(&cg.lists[listInactiveFile], ResidentFile); err != nil {
 			return err
 		}
 		// lazy entries hold no frames; they are not counted.
@@ -71,24 +71,35 @@ func (m *Manager) Audit() error {
 	if totalResident != m.Pool.Used() {
 		return fmt.Errorf("pool uses %d frames but cgroups charge %d", m.Pool.Used(), totalResident)
 	}
+	// Slots in never-touched chunks are free and unowned, so walking the
+	// slot table's allocated chunks covers every owned slot.
 	owned := 0
-	for i, pg := range m.Swap.owner {
+	var slotErr error
+	m.Swap.slots.Each(func(slot int64, e slotEntry) {
+		pg := e.owner
 		if pg == nil {
-			continue
+			return
 		}
 		owned++
-		slot := int64(i)
-		if m.Swap.free[slot] {
-			return fmt.Errorf("slot %d owned by page %d but marked free", slot, pg.ID)
+		if slotErr != nil {
+			return
+		}
+		if !e.used {
+			slotErr = fmt.Errorf("slot %d owned by page %d but marked free", slot, pg.ID)
+			return
 		}
 		if pg.SwapSlot != slot {
-			return fmt.Errorf("slot %d owner page %d records slot %d", slot, pg.ID, pg.SwapSlot)
+			slotErr = fmt.Errorf("slot %d owner page %d records slot %d", slot, pg.ID, pg.SwapSlot)
+			return
 		}
 		switch pg.State {
 		case SwappedOut, ResidentAnon, Emulated:
 		default:
-			return fmt.Errorf("slot %d owned by page %d in state %s", slot, pg.ID, pg.State)
+			slotErr = fmt.Errorf("slot %d owned by page %d in state %s", slot, pg.ID, pg.State)
 		}
+	})
+	if slotErr != nil {
+		return slotErr
 	}
 	if owned != m.Swap.inUse {
 		return fmt.Errorf("swap allocator counts %d slots in use but owner table has %d",

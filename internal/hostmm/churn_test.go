@@ -117,11 +117,11 @@ func TestSwapChurnThroughReclaim(t *testing.T) {
 	}
 	// Every slot still allocated is owned by a page that really references
 	// it (no stale resurrection of released descriptors).
-	for slot, pg := range r.swap.owner {
-		if pg != nil && pg.SwapSlot != int64(slot) {
+	r.swap.slots.Each(func(slot int64, e slotEntry) {
+		if pg := e.owner; pg != nil && pg.SwapSlot != slot {
 			t.Fatalf("slot %d owned by page gfn=%d whose SwapSlot=%d", slot, pg.ID, pg.SwapSlot)
 		}
-	}
+	})
 	// Full teardown releases every remaining slot.
 	for _, pg := range pages {
 		r.mgr.Forget(pg)

@@ -117,7 +117,7 @@ func (m *Manager) FirstTouch(p *sim.Proc, pg *Page, ctx Ctx) {
 	pg.EPT = ctx == GuestCtx
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Owner.lists[listActiveAnon].pushFront(pg)
 	m.accountFault(ctx, false)
 	p.Sleep(m.Cfg.MinorFaultCost)
 	m.accountFaultLatency(start, false, m.Cfg.MinorFaultCost)
@@ -207,7 +207,7 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	pg.Dirty = false
 	pg.EPT = false
 	pg.Referenced = false
-	pg.Owner.inactiveAnon.pushFront(pg)
+	pg.Owner.lists[listInactiveAnon].pushFront(pg)
 	m.c.hostSwapIns.Inc()
 	m.Back.NoteRefault(pg.SwapSlot)
 	if m.Trace.Recording(trace.Fault) {
@@ -246,7 +246,7 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 		q.Dirty = false // clean copy of the slot (swap cache)
 		q.EPT = false
 		q.Referenced = false
-		q.Owner.inactiveAnon.pushFront(q)
+		q.Owner.lists[listInactiveAnon].pushFront(q)
 		m.c.hostSwapPrefetched.Inc()
 		pinned = append(pinned, q)
 	}
@@ -316,7 +316,7 @@ func (m *Manager) FileFaultIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	pg.EPT = false
 	pg.Referenced = false
 	pg.Dirty = false
-	pg.Owner.inactiveFile.pushFront(pg)
+	pg.Owner.lists[listInactiveFile].pushFront(pg)
 	if m.Trace.Recording(trace.Fault) {
 		m.Trace.Add(m.Env.Now(), trace.Fault, "file-in cg=%s gfn=%d block=%d window=%d",
 			pg.Owner.Name, pg.ID, b, nblocks)
@@ -343,7 +343,7 @@ func (m *Manager) FileFaultIn(p *sim.Proc, pg *Page, ctx Ctx) {
 		q.EPT = false
 		q.Referenced = false
 		q.Dirty = false
-		q.Owner.inactiveFile.pushFront(q)
+		q.Owner.lists[listInactiveFile].pushFront(q)
 		m.c.hostFilePrefetched.Inc()
 		pinned = append(pinned, q)
 	}
@@ -402,7 +402,7 @@ func (m *Manager) MarkWritten(pg *Page) {
 // COWBreak handles a guest write to a privately-mapped named page: copy,
 // unmap from the file, and treat as anonymous from now on. Per VSwapper's
 // design the source copy is removed from the host page cache immediately,
-// but reclaim still traverses a lazy entry for it (see Cgroup.lazy).
+// but reclaim still traverses a lazy entry for it (see Cgroup.lists).
 func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 	if pg.State != ResidentFile {
 		panic(fmt.Sprintf("hostmm: COWBreak on %s page", pg.State))
@@ -410,11 +410,9 @@ func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 	start := m.Env.Now()
 	f := pg.Backing.File
 	f.RemoveMapping(pg)
-	if pg.list != nil {
-		pg.list.remove(pg)
-	}
+	pg.unlist()
 	src := &Page{Owner: pg.Owner, ID: pg.ID, SwapSlot: -1, State: Untouched}
-	pg.Owner.lazy.pushFront(src)
+	pg.Owner.lists[listLazy].pushFront(src)
 
 	pg.State = ResidentAnon
 	pg.Dirty = true
@@ -422,7 +420,7 @@ func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
 	pg.Referenced = true
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Owner.lists[listActiveAnon].pushFront(pg)
 	m.c.hostCOWBreaks.Inc()
 	m.accountFault(ctx, false)
 	p.Sleep(m.Cfg.COWCost)
@@ -434,9 +432,7 @@ func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 // is about to be entirely superseded (mmap-over by the Mapper) and by the
 // balloon path.
 func (m *Manager) Forget(pg *Page) {
-	if pg.list != nil {
-		pg.list.remove(pg)
-	}
+	pg.unlist()
 	switch pg.State {
 	case ResidentAnon, ResidentFile:
 		if pg.State == ResidentFile {

@@ -21,7 +21,7 @@ type rig struct {
 	img  *File
 }
 
-func newRig(t *testing.T, poolFrames, cgLimit int) *rig {
+func newRig(t testing.TB, poolFrames, cgLimit int) *rig {
 	t.Helper()
 	env := sim.NewEnv(1)
 	met := metrics.NewSet()
@@ -42,7 +42,7 @@ func newRig(t *testing.T, poolFrames, cgLimit int) *rig {
 func Constellation() disk.LatencyModel { return disk.Constellation7200() }
 
 // run executes fn as a process and drives the sim to completion.
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
+func (r *rig) run(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	r.env.Go("test", fn)
 	r.env.Run()
@@ -298,7 +298,7 @@ func TestCOWBreak(t *testing.T) {
 	if r.img.MappingAt(7) != nil {
 		t.Fatal("mapping not removed")
 	}
-	if r.cg.lazy.size != 1 {
+	if r.cg.lists[listLazy].size != 1 {
 		t.Fatal("lazy source entry missing")
 	}
 	if r.met.Get(metrics.HostCOWBreaks) != 1 {

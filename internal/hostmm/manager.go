@@ -277,25 +277,21 @@ type Cgroup struct {
 	resident int
 	pinned   int
 
-	activeAnon   pageList
-	inactiveAnon pageList
-	activeFile   pageList
-	inactiveFile pageList
-	// lazy holds COW source pages VSwapper dropped from the host page
-	// cache; reclaim frees them on sight but still "scans" them, which
-	// reproduces the paper's observation that VSwapper can double reclaim
-	// traversal lengths under low pressure (§5.3, Fig. 11c).
-	lazy pageList
+	// lists holds the active/inactive anon and file LRU lists, indexed by
+	// listID. The lazy list holds COW source pages VSwapper dropped from
+	// the host page cache; reclaim frees them on sight but still "scans"
+	// them, which reproduces the paper's observation that VSwapper can
+	// double reclaim traversal lengths under low pressure (§5.3, Fig. 11c).
+	lists [numLists]pageList
 }
 
 // NewCgroup registers a new control group.
 func (m *Manager) NewCgroup(name string, limitPages int) *Cgroup {
 	cg := &Cgroup{Name: name, Limit: limitPages, mgr: m, idx: len(m.cgroups)}
-	cg.activeAnon.name = name + "/active-anon"
-	cg.inactiveAnon.name = name + "/inactive-anon"
-	cg.activeFile.name = name + "/active-file"
-	cg.inactiveFile.name = name + "/inactive-file"
-	cg.lazy.name = name + "/lazy"
+	for id := listActiveAnon; id < numLists; id++ {
+		cg.lists[id].name = name + "/" + listNames[id]
+		cg.lists[id].id = id
+	}
 	m.cgroups = append(m.cgroups, cg)
 	return cg
 }
@@ -313,11 +309,11 @@ func (cg *Cgroup) Pinned() int { return cg.pinned }
 // empty, and lazy entries are reachable only through this list.
 func (m *Manager) DrainLazy(cg *Cgroup) {
 	for {
-		pg := cg.lazy.back()
+		pg := cg.lists[listLazy].back()
 		if pg == nil {
 			return
 		}
-		cg.lazy.remove(pg)
+		cg.lists[listLazy].remove(pg)
 		pg.State = Untouched
 	}
 }
@@ -326,8 +322,14 @@ func (m *Manager) DrainLazy(cg *Cgroup) {
 func (cg *Cgroup) SetLimit(pages int) { cg.Limit = pages }
 
 // AnonPages and FilePages report LRU sizes (for tests and introspection).
-func (cg *Cgroup) AnonPages() int { return cg.activeAnon.size + cg.inactiveAnon.size }
-func (cg *Cgroup) FilePages() int { return cg.activeFile.size + cg.inactiveFile.size }
+func (cg *Cgroup) AnonPages() int {
+	return cg.lists[listActiveAnon].size + cg.lists[listInactiveAnon].size
+}
+
+// FilePages reports the pages on the file LRU lists.
+func (cg *Cgroup) FilePages() int {
+	return cg.lists[listActiveFile].size + cg.lists[listInactiveFile].size
+}
 
 // pin/unpin exclude a page from reclaim during a fault and keep count so
 // that prefetch never pins away the last evictable page of a cgroup.
@@ -369,12 +371,12 @@ func (m *Manager) Touch(pg *Page) {
 	}
 	cg := pg.Owner
 	switch pg.list {
-	case &cg.inactiveAnon:
-		cg.inactiveAnon.remove(pg)
-		cg.activeAnon.pushFront(pg)
-	case &cg.inactiveFile:
-		cg.inactiveFile.remove(pg)
-		cg.activeFile.pushFront(pg)
+	case listInactiveAnon:
+		cg.lists[listInactiveAnon].remove(pg)
+		cg.lists[listActiveAnon].pushFront(pg)
+	case listInactiveFile:
+		cg.lists[listInactiveFile].remove(pg)
+		cg.lists[listActiveFile].pushFront(pg)
 	}
 }
 
@@ -394,7 +396,7 @@ func (m *Manager) chargeFrames(p *sim.Proc, cg *Cgroup, n int) {
 		}
 		if attempt > 1_000_000 {
 			panic(fmt.Sprintf("hostmm: reclaim cannot satisfy %d pages for %s (resident=%d pinned=%d anonA=%d anonI=%d fileA=%d fileI=%d lazy=%d poolFree=%d)",
-				n, cg.Name, cg.resident, cg.pinned, cg.activeAnon.size, cg.inactiveAnon.size, cg.activeFile.size, cg.inactiveFile.size, cg.lazy.size, m.Pool.Free()))
+				n, cg.Name, cg.resident, cg.pinned, cg.lists[listActiveAnon].size, cg.lists[listInactiveAnon].size, cg.lists[listActiveFile].size, cg.lists[listInactiveFile].size, cg.lists[listLazy].size, m.Pool.Free()))
 		}
 		victim := cg
 		if !(cg.Limit > 0 && cg.resident+n > cg.Limit) {
@@ -440,12 +442,12 @@ func (m *Manager) reclaim(p *sim.Proc, cg *Cgroup, target int) int {
 
 	// Drop lazily-freed COW sources first: free, but they cost scan work.
 	for freed < target {
-		pg := cg.lazy.back()
+		pg := cg.lists[listLazy].back()
 		if pg == nil {
 			break
 		}
 		scanned++
-		cg.lazy.remove(pg)
+		cg.lists[listLazy].remove(pg)
 		pg.State = Untouched
 		freed++ // no frame held; still counts as progress for the scan
 	}
@@ -457,26 +459,26 @@ func (m *Manager) reclaim(p *sim.Proc, cg *Cgroup, target int) int {
 			break // let the caller loop; avoids unbounded passes
 		}
 		// Rebalance: keep inactive lists at least as long as active ones.
-		for cg.inactiveFile.size < cg.activeFile.size {
-			pg := cg.activeFile.back()
-			cg.activeFile.remove(pg)
+		for cg.lists[listInactiveFile].size < cg.lists[listActiveFile].size {
+			pg := cg.lists[listActiveFile].back()
+			cg.lists[listActiveFile].remove(pg)
 			pg.Referenced = false
-			cg.inactiveFile.pushFront(pg)
+			cg.lists[listInactiveFile].pushFront(pg)
 			scanned++
 		}
-		for cg.inactiveAnon.size < cg.activeAnon.size {
-			pg := cg.activeAnon.back()
-			cg.activeAnon.remove(pg)
+		for cg.lists[listInactiveAnon].size < cg.lists[listActiveAnon].size {
+			pg := cg.lists[listActiveAnon].back()
+			cg.lists[listActiveAnon].remove(pg)
 			pg.Referenced = false
-			cg.inactiveAnon.pushFront(pg)
+			cg.lists[listInactiveAnon].pushFront(pg)
 			scanned++
 		}
 
 		// Linux prefers file pages while a meaningful number remain, but
 		// desperation falls back to whichever list can make progress
 		// (e.g. when every anon page is pinned by in-flight faults).
-		candidates := [2]*pageList{&cg.inactiveFile, &cg.inactiveAnon}
-		if cg.inactiveFile.size <= m.Cfg.MinFileFloor {
+		candidates := [2]*pageList{&cg.lists[listInactiveFile], &cg.lists[listInactiveAnon]}
+		if cg.lists[listInactiveFile].size <= m.Cfg.MinFileFloor {
 			candidates[0], candidates[1] = candidates[1], candidates[0]
 		}
 		if candidates[0].size == 0 && candidates[1].size == 0 {
@@ -502,8 +504,8 @@ func (m *Manager) reclaim(p *sim.Proc, cg *Cgroup, target int) int {
 		// the next round can make progress.
 		if freed == freedBefore {
 			for _, pair := range [][2]*pageList{
-				{&cg.activeAnon, &cg.inactiveAnon},
-				{&cg.activeFile, &cg.inactiveFile},
+				{&cg.lists[listActiveAnon], &cg.lists[listInactiveAnon]},
+				{&cg.lists[listActiveFile], &cg.lists[listInactiveFile]},
 			} {
 				active, inactive := pair[0], pair[1]
 				for i := 0; i < m.Cfg.ReclaimBatch && active.size > 0; i++ {
@@ -552,13 +554,13 @@ func (m *Manager) scanList(list *pageList, cg *Cgroup, target int, scanned *int,
 		pg := list.back()
 		(*scanned)++
 		if pg.Pinned {
-			list.rotate(pg)
+			list.rotate()
 			continue
 		}
 		sawEvictable = true
 		if pg.Referenced {
 			pg.Referenced = false
-			list.rotate(pg)
+			list.rotate()
 			continue
 		}
 		switch pg.State {
@@ -584,12 +586,12 @@ func (m *Manager) scanList(list *pageList, cg *Cgroup, target int, scanned *int,
 				slot := pg.SwapSlot
 				if slot < 0 {
 					if m.Inj.SlotRefused() {
-						list.rotate(pg) // injected allocator refusal
+						list.rotate() // injected allocator refusal
 						continue
 					}
 					slot = m.Swap.Alloc(pg)
 					if slot < 0 {
-						list.rotate(pg) // swap full; skip
+						list.rotate() // swap full; skip
 						continue
 					}
 					pg.SwapSlot = slot

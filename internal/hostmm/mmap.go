@@ -34,7 +34,7 @@ func (m *Manager) MapOver(p *sim.Proc, pg *Page, ref BlockRef) {
 	pg.TruthBlock = ref
 	pg.TruthClean = true
 	ref.File.AddMapping(pg)
-	pg.Owner.inactiveFile.pushFront(pg)
+	pg.Owner.lists[listInactiveFile].pushFront(pg)
 	m.Met.Inc(metrics.MapperEstablish)
 }
 
@@ -46,9 +46,7 @@ func (m *Manager) AdoptAsNamed(pg *Page, ref BlockRef) {
 	if pg.State != ResidentAnon {
 		panic(fmt.Sprintf("hostmm: AdoptAsNamed on %s page", pg.State))
 	}
-	if pg.list != nil {
-		pg.list.remove(pg)
-	}
+	pg.unlist()
 	if pg.SwapSlot >= 0 {
 		m.Swap.Free(pg.SwapSlot)
 		pg.SwapSlot = -1
@@ -59,7 +57,7 @@ func (m *Manager) AdoptAsNamed(pg *Page, ref BlockRef) {
 	pg.TruthBlock = ref
 	pg.TruthClean = true
 	ref.File.AddMapping(pg)
-	pg.Owner.inactiveFile.pushFront(pg)
+	pg.Owner.lists[listInactiveFile].pushFront(pg)
 	m.Met.Inc(metrics.MapperEstablish)
 }
 
@@ -74,13 +72,11 @@ func (m *Manager) InvalidateBlock(p *sim.Proc, f *File, block int64) {
 		switch pg.State {
 		case ResidentFile:
 			f.RemoveMapping(pg)
-			if pg.list != nil {
-				pg.list.remove(pg)
-			}
+			pg.unlist()
 			pg.State = ResidentAnon
 			pg.Dirty = true
 			pg.Backing = BlockRef{}
-			pg.Owner.activeAnon.pushFront(pg)
+			pg.Owner.lists[listActiveAnon].pushFront(pg)
 		case FileNonResident:
 			// Rescue C0: synchronous read of the old content.
 			done := m.Dev.Submit(disk.Read, f.Phys(block), 1)
@@ -93,13 +89,11 @@ func (m *Manager) InvalidateBlock(p *sim.Proc, f *File, block int64) {
 				// it still exists.
 				if pg.Backing.File == f {
 					f.RemoveMapping(pg)
-					if pg.list != nil {
-						pg.list.remove(pg)
-					}
+					pg.unlist()
 					pg.State = ResidentAnon
 					pg.Dirty = true
 					pg.Backing = BlockRef{}
-					pg.Owner.activeAnon.pushFront(pg)
+					pg.Owner.lists[listActiveAnon].pushFront(pg)
 				}
 				break
 			}
@@ -109,7 +103,7 @@ func (m *Manager) InvalidateBlock(p *sim.Proc, f *File, block int64) {
 			pg.Dirty = true
 			pg.EPT = false
 			pg.Backing = BlockRef{}
-			pg.Owner.inactiveAnon.pushFront(pg)
+			pg.Owner.lists[listInactiveAnon].pushFront(pg)
 		case Emulated:
 			// The Preventer's merge source is about to change; the
 			// emulated page keeps its Backing until finalization, so we
@@ -171,8 +165,7 @@ func (m *Manager) RemapOverwrite(p *sim.Proc, pg *Page) bool {
 	pg.Referenced = true
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Emu = nil
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Owner.lists[listActiveAnon].pushFront(pg)
 	m.Met.Inc(metrics.PreventerRemaps)
 	return true
 }
@@ -198,8 +191,7 @@ func (m *Manager) EmulationRemap(p *sim.Proc, pg *Page) {
 	pg.Referenced = true
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Emu = nil
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Owner.lists[listActiveAnon].pushFront(pg)
 	m.Met.Inc(metrics.PreventerRemaps)
 }
 
@@ -247,7 +239,6 @@ func (m *Manager) EmulationMerge(p *sim.Proc, pg *Page) {
 	pg.Referenced = true
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Emu = nil
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Owner.lists[listActiveAnon].pushFront(pg)
 	m.Met.Inc(metrics.PreventerMerges)
 }

@@ -84,6 +84,10 @@ func (b BlockRef) Valid() bool { return b.File != nil }
 // Page is the host's view of one page of a QEMU process: either one guest
 // frame (identified by GFN) or a page of QEMU's own executable. Pages are
 // created lazily on first touch.
+//
+// A large guest has hundreds of thousands of Pages, so the record is kept
+// at 96 bytes: the flags share one word and the LRU list is named by a
+// one-byte id that the owning cgroup resolves.
 type Page struct {
 	Owner *Cgroup
 	// ID is the GFN for guest pages; QEMU-internal pages use negative IDs.
@@ -103,6 +107,16 @@ type Page struct {
 	// it (the analogue of the Linux page lock).
 	Pinned bool
 
+	// TruthClean and TruthBlock are simulator ground truth (metrics
+	// only): whether the page's actual content equals a disk block, and
+	// which. The host cannot see these; they power the "silent write"
+	// counters.
+	TruthClean bool
+
+	// list is the id of the Owner's LRU list holding the page (listNone
+	// when unlisted).
+	list listID
+
 	// fault serializes concurrent fault-ins of the same page: while
 	// non-nil, one process is bringing the page in and others wait.
 	fault *sim.Signal
@@ -110,29 +124,27 @@ type Page struct {
 	// SwapSlot is the host swap slot holding the content (-1 if none).
 	SwapSlot int64
 	// Backing is the file block backing a named page.
-	Backing BlockRef
-
-	// TruthBlock/TruthClean are simulator ground truth (metrics only):
-	// whether the page's actual content equals a disk block. The host
-	// cannot see these; they power the "silent write" counters.
+	Backing    BlockRef
 	TruthBlock BlockRef
-	TruthClean bool
-
-	// Emu is the Preventer's buffer while State == Emulated. It is an
-	// opaque pointer so that hostmm need not know the Preventer's layout.
-	Emu interface{}
 
 	// nextMapping chains pages that map the same file block (rare:
 	// happens when the guest re-reads a block into a new GFN while an
 	// older named page still exists).
 	nextMapping *Page
 
-	list       *pageList
 	prev, next *Page
 }
 
 // InLRU reports whether the page is currently on one of the cgroup lists.
-func (pg *Page) InLRU() bool { return pg.list != nil }
+func (pg *Page) InLRU() bool { return pg.list != listNone }
+
+// unlist removes the page from whichever of its cgroup's lists holds it
+// (no-op when unlisted).
+func (pg *Page) unlist() {
+	if pg.list != listNone {
+		pg.Owner.lists[pg.list].remove(pg)
+	}
+}
 
 // key is a stable per-page identity (cgroup registration order + page ID)
 // for the swap backend: per-page properties like compressibility and heat
@@ -142,20 +154,42 @@ func (pg *Page) key() uint64 {
 	return uint64(pg.Owner.idx)<<40 ^ uint64(int64(pg.ID))
 }
 
+// listID names one of a cgroup's page lists.
+type listID uint8
+
+const (
+	listNone listID = iota
+	listActiveAnon
+	listInactiveAnon
+	listActiveFile
+	listInactiveFile
+	listLazy
+	numLists
+)
+
+var listNames = [numLists]string{
+	listActiveAnon:   "active-anon",
+	listInactiveAnon: "inactive-anon",
+	listActiveFile:   "active-file",
+	listInactiveFile: "inactive-file",
+	listLazy:         "lazy",
+}
+
 // pageList is an intrusive doubly-linked list of pages with O(1) removal.
 // Pages are pushed at the front; reclaim scans from the back (oldest).
 type pageList struct {
 	name string
+	id   listID
 	head *Page
 	tail *Page
 	size int
 }
 
 func (l *pageList) pushFront(pg *Page) {
-	if pg.list != nil {
+	if pg.list != listNone {
 		panic("hostmm: page already on a list")
 	}
-	pg.list = l
+	pg.list = l.id
 	pg.prev = nil
 	pg.next = l.head
 	if l.head != nil {
@@ -168,8 +202,14 @@ func (l *pageList) pushFront(pg *Page) {
 	l.size++
 }
 
+// holds reports whether pg's list backref names l. The id alone is not
+// enough: it must resolve to l through the page's own cgroup.
+func (l *pageList) holds(pg *Page) bool {
+	return pg.list == l.id && &pg.Owner.lists[l.id] == l
+}
+
 func (l *pageList) remove(pg *Page) {
-	if pg.list != l {
+	if !l.holds(pg) {
 		panic("hostmm: removing page from wrong list")
 	}
 	if pg.prev != nil {
@@ -182,7 +222,7 @@ func (l *pageList) remove(pg *Page) {
 	} else {
 		l.tail = pg.prev
 	}
-	pg.list = nil
+	pg.list = listNone
 	pg.prev = nil
 	pg.next = nil
 	l.size--
@@ -191,8 +231,17 @@ func (l *pageList) remove(pg *Page) {
 // back returns the oldest page without removing it.
 func (l *pageList) back() *Page { return l.tail }
 
-// rotate moves the oldest page to the front (second chance).
-func (l *pageList) rotate(pg *Page) {
-	l.remove(pg)
-	l.pushFront(pg)
+// rotate moves the oldest page to the front (second chance). The page
+// stays on the list, so only the links change.
+func (l *pageList) rotate() {
+	pg := l.tail
+	if pg == l.head {
+		return // empty or a single page
+	}
+	l.tail = pg.prev
+	l.tail.next = nil
+	pg.prev = nil
+	pg.next = l.head
+	l.head.prev = pg
+	l.head = pg
 }

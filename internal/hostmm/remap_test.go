@@ -43,7 +43,9 @@ func TestRemapOverwriteLostRace(t *testing.T) {
 		// take or mmap-over would.
 		r.env.Go("resolver", func(q *sim.Proc) {
 			q.Sleep(sim.Nanosecond)
-			if victim.State == Emulated && victim.Emu == nil {
+			// RemapOverwrite never buffers, so any Emulated state seen
+			// here would be a bufferless one.
+			if victim.State == Emulated {
 				t.Error("bufferless Emulated page observable during blocked charge")
 				return
 			}

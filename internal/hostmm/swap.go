@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vswapsim/internal/disk"
+	"vswapsim/internal/mem"
 )
 
 // SwapArea is the host swap partition: a slot allocator over a disk region
@@ -13,7 +14,6 @@ import (
 // consecutive slots.
 type SwapArea struct {
 	region disk.Region
-	free   []bool // free[i] == true when slot i is unallocated
 	inUse  int
 	hint   int64 // lowest slot that might be free
 
@@ -27,15 +27,25 @@ type SwapArea struct {
 	scanFailed  bool  // no free cluster exists until enough slots free up
 	freesSince  int   // slots freed since the last failed cluster scan
 
-	// owner records, per slot, the page whose content the slot holds (nil
-	// when free). A dense slice: slots are a small, fixed keyspace and the
-	// fault path reads ownership for every slot of a readahead cluster, so
-	// this must be an indexed load, not a hashed map probe.
-	owner []*Page
+	// slots records, per slot, whether it is allocated and the page whose
+	// content it holds. The fault path reads ownership for every slot of a
+	// readahead cluster, so this must be an indexed load, not a hashed map
+	// probe. The table allocates per chunk on first use: a run touches a
+	// few thousand slots of an area sized in millions. One table rather
+	// than separate free and owner tables halves the lookups of every
+	// allocation and free.
+	slots mem.Table[slotEntry]
 
 	// onFree, when non-nil, observes every slot release (the swap backend
 	// hooks it to drop fast-tier copies when their slot dies).
 	onFree func(slot int64)
+}
+
+// slotEntry is one swap slot. The zero value, which never-written chunks
+// read as, is a free slot with no owner.
+type slotEntry struct {
+	owner *Page // nil when free
+	used  bool
 }
 
 // SlotsPerCluster mirrors Linux's SWAPFILE_CLUSTER.
@@ -43,16 +53,11 @@ const SlotsPerCluster = 256
 
 // NewSwapArea returns a swap area over the given region.
 func NewSwapArea(region disk.Region) *SwapArea {
-	s := &SwapArea{
+	return &SwapArea{
 		region: region,
-		free:   make([]bool, region.Blocks),
-		owner:  make([]*Page, region.Blocks),
+		slots:  mem.NewTable(region.Blocks, slotEntry{}),
 		next:   -1,
 	}
-	for i := range s.free {
-		s.free[i] = true
-	}
-	return s
 }
 
 // Slots reports the total slot count.
@@ -69,7 +74,7 @@ func (s *SwapArea) Alloc(pg *Page) int64 {
 		for s.next < s.clusterEnd {
 			i := s.next
 			s.next++
-			if s.free[i] {
+			if !s.slots.Get(i).used {
 				return s.take(i, pg)
 			}
 		}
@@ -88,10 +93,8 @@ func (s *SwapArea) Alloc(pg *Page) int64 {
 		s.freesSince = 0
 	}
 	// Fragmented: degrade to lowest-free (placement decay).
-	for i := s.hint; i < s.region.Blocks; i++ {
-		if s.free[i] {
-			return s.take(i, pg)
-		}
+	if i := s.slots.Index(s.hint, s.region.Blocks, slotEntry{}); i >= 0 {
+		return s.take(i, pg)
 	}
 	return -1
 }
@@ -99,53 +102,64 @@ func (s *SwapArea) Alloc(pg *Page) int64 {
 // findCluster locates a run of SlotsPerCluster free slots, scanning from
 // clusterHint with wrap-around; -1 if none exists.
 func (s *SwapArea) findCluster() int64 {
-	scan := func(from, to int64) int64 {
-		run := int64(0)
-		for i := from; i < to; i++ {
-			if s.free[i] {
-				run++
-				if run == SlotsPerCluster {
-					start := i - run + 1
-					s.clusterHint = i + 1
-					return start
-				}
-			} else {
-				run = 0
-			}
-		}
+	end := s.freeRun(s.clusterHint, s.region.Blocks)
+	if end < 0 {
+		end = s.freeRun(0, min(s.clusterHint+SlotsPerCluster, s.region.Blocks))
+	}
+	if end < 0 {
 		return -1
 	}
-	if start := scan(s.clusterHint, s.region.Blocks); start >= 0 {
-		return start
+	s.clusterHint = end
+	return end - SlotsPerCluster
+}
+
+// freeRun returns the end (exclusive) of the first run of SlotsPerCluster
+// free slots lying in [from, to), or -1 if there is none. Untouched chunks
+// count as free in one step.
+func (s *SwapArea) freeRun(from, to int64) int64 {
+	run := int64(0)
+	for i := from; i < to; {
+		vals, n := s.slots.Span(i)
+		n = min(n, to-i)
+		if vals == nil {
+			if run+n >= SlotsPerCluster {
+				return i + SlotsPerCluster - run
+			}
+			run += n
+			i += n
+			continue
+		}
+		for _, e := range vals[:n] {
+			i++
+			if e.used {
+				run = 0
+			} else if run++; run == SlotsPerCluster {
+				return i
+			}
+		}
 	}
-	end := s.clusterHint + SlotsPerCluster
-	if end > s.region.Blocks {
-		end = s.region.Blocks
-	}
-	return scan(0, end)
+	return -1
 }
 
 func (s *SwapArea) take(i int64, pg *Page) int64 {
-	s.free[i] = false
+	s.slots.Set(i, slotEntry{owner: pg, used: true})
 	if i == s.hint {
 		s.hint = i + 1
 	}
 	s.inUse++
-	s.owner[i] = pg
 	return i
 }
 
 // Free releases a slot.
 func (s *SwapArea) Free(slot int64) {
-	if slot < 0 || slot >= s.region.Blocks || s.free[slot] {
+	if slot < 0 || slot >= s.region.Blocks || !s.slots.Get(slot).used {
 		panic(fmt.Sprintf("hostmm: freeing bad swap slot %d", slot))
 	}
-	s.free[slot] = true
+	s.slots.Set(slot, slotEntry{})
 	if slot < s.hint {
 		s.hint = slot
 	}
 	s.inUse--
-	s.owner[slot] = nil
 	if s.scanFailed {
 		s.freesSince++
 		if s.freesSince >= SlotsPerCluster {
@@ -161,38 +175,25 @@ func (s *SwapArea) Free(slot int64) {
 // audit to cross-check the allocator's in-use count).
 func (s *SwapArea) ownedSlots() int {
 	n := 0
-	for _, pg := range s.owner {
-		if pg != nil {
+	s.slots.Each(func(_ int64, e slotEntry) {
+		if e.owner != nil {
 			n++
 		}
-	}
+	})
 	return n
 }
 
 // fragmented reports whether no whole free cluster remains (used by tests
 // asserting placement decay).
-func (s *SwapArea) fragmented() bool {
-	run := int64(0)
-	for i := int64(0); i < s.region.Blocks; i++ {
-		if s.free[i] {
-			run++
-			if run >= SlotsPerCluster {
-				return false
-			}
-		} else {
-			run = 0
-		}
-	}
-	return true
-}
+func (s *SwapArea) fragmented() bool { return s.freeRun(0, s.region.Blocks) < 0 }
 
 // Owner returns the page stored at slot, or nil if the slot is free or out
 // of range.
 func (s *SwapArea) Owner(slot int64) *Page {
-	if slot < 0 || slot >= int64(len(s.owner)) {
+	if slot < 0 || slot >= s.region.Blocks {
 		return nil
 	}
-	return s.owner[slot]
+	return s.slots.Get(slot).owner
 }
 
 // Phys translates a slot to a physical disk block.
@@ -219,7 +220,7 @@ func (s *SwapArea) AppendClusterRun(dst []int64, slot int64, cluster int) []int6
 		end = s.region.Blocks
 	}
 	for i := base; i < end; i++ {
-		if !s.free[i] {
+		if s.slots.Get(i).used {
 			dst = append(dst, i)
 		}
 	}

@@ -39,7 +39,6 @@ type Env struct {
 	rng    *RNG
 
 	liveProcs int
-	blocked   int // procs waiting on a Signal (not a timer)
 
 	// done carries the baton back to RunUntil when a process holding the
 	// loop finds nothing left to run before the deadline; procPanic is the
@@ -416,7 +415,6 @@ func (w *timedWait) expire() bool {
 			break
 		}
 	}
-	s.env.blocked--
 	return true
 }
 
@@ -426,7 +424,6 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 // Wait suspends p until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.env.blocked++
 	p.block()
 }
 
@@ -441,7 +438,6 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) (signaled bool) {
 	w := &timedWait{sig: s, proc: p}
 	s.timed = append(s.timed, w)
 	e := s.env
-	e.blocked++
 	ev := e.newEvent(e.now.Add(d), nil, nil)
 	ev.tw = w
 	e.push(ev)
@@ -456,14 +452,12 @@ func (s *Signal) Broadcast() {
 	waiters := s.waiters
 	s.waiters = s.waiters[:0]
 	for _, w := range waiters {
-		s.env.blocked--
 		s.env.scheduleProc(0, w)
 	}
 	timed := s.timed
 	s.timed = s.timed[:0]
 	for _, w := range timed {
 		w.done = true
-		s.env.blocked--
 		s.env.scheduleProc(0, w.proc)
 	}
 }
