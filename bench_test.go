@@ -2,7 +2,7 @@
 // per table and figure (BenchmarkFig3 … BenchmarkTable2), plus ablations.
 // Each iteration runs the full experiment at a reduced scale so `go test
 // -bench=.` finishes in minutes; the full-size numbers come from
-// `go run ./cmd/vswapper-report` (see EXPERIMENTS.md).
+// `go run ./cmd/vswapsim report` (see EXPERIMENTS.md).
 //
 // Reported custom metrics are virtual (simulated) seconds, not wall time:
 // "vsec/baseline" is what the paper plots on its y-axes.

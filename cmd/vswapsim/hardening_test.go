@@ -20,15 +20,15 @@ func TestRunUsageErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"bad faults spec", []string{"-run", "fig3", "-faults", "bogus:0.5"}},
-		{"fault prob out of range", []string{"-run", "fig3", "-faults", "disk-read-err:2"}},
-		{"negative auditevery", []string{"-run", "fig3", "-auditevery", "-1"}},
-		{"negative celltimeout", []string{"-run", "fig3", "-celltimeout", "-3s"}},
-		{"malformed celltimeout", []string{"-run", "fig3", "-celltimeout", "soon"}},
-		{"malformed maxevents", []string{"-run", "fig3", "-maxevents", "-5"}},
-		{"negative tracering", []string{"-run", "fig3", "-tracering", "-1"}},
-		{"bad scale", []string{"-run", "fig3", "-scale", "0"}},
-		{"unknown flag", []string{"-run", "fig3", "-frobnicate"}},
+		{"bad faults spec", []string{"run", "fig3", "-faults", "bogus:0.5"}},
+		{"fault prob out of range", []string{"run", "fig3", "-faults", "disk-read-err:2"}},
+		{"negative auditevery", []string{"run", "fig3", "-auditevery", "-1"}},
+		{"negative celltimeout", []string{"run", "fig3", "-celltimeout", "-3s"}},
+		{"malformed celltimeout", []string{"run", "fig3", "-celltimeout", "soon"}},
+		{"malformed maxevents", []string{"run", "fig3", "-maxevents", "-5"}},
+		{"negative tracering", []string{"run", "fig3", "-tracering", "-1"}},
+		{"bad scale", []string{"run", "fig3", "-scale", "0"}},
+		{"unknown flag", []string{"run", "fig3", "-frobnicate"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -52,7 +52,7 @@ func TestRunUsageErrors(t *testing.T) {
 // records carry the watchdog kind, and the process exits non-zero.
 func TestRunHardenedSweepFailsClosed(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-run", "fig3", "-quick", "-scale", "0.125",
+	args := []string{"run", "fig3", "-quick", "-scale", "0.125",
 		"-seed", "7", "-maxevents", "1000", "-json"}
 	code := run(args, &stdout, &stderr)
 	if code != exitFailures {
@@ -93,7 +93,7 @@ func TestRunSigintEmitsPartialReport(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		code = run([]string{"-run", "fig14", "-seed", "3", "-json"}, &stdout, &stderr)
+		code = run([]string{"run", "fig14", "-seed", "3", "-json"}, &stdout, &stderr)
 	}()
 	time.Sleep(300 * time.Millisecond) // let signal.NotifyContext install and the sweep start
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {

@@ -1,491 +1,44 @@
-// Command vswapsim runs one of the paper's experiments — hand-coded
-// registry entries or declarative YAML scenarios — and prints its tables.
+// Command vswapsim runs the paper's experiments — hand-coded registry
+// entries or declarative YAML scenarios — and serves them over HTTP.
 //
 // Usage:
 //
-//	vswapsim -list
-//	vswapsim -run <id> [flags]
-//	vswapsim run <scenario.yaml> [flags]
+//	vswapsim list
+//	vswapsim run <id|scenario.yaml> [flags]
+//	vswapsim report [-only ids] [-csv dir] [flags]
 //	vswapsim validate <scenario.yaml>...
+//	vswapsim bench [-iters N] [-only ids] [flags]
+//	vswapsim serve [flags]
 //
-// Flags (shared by -run and the run subcommand): -scale, -seed, -quick,
-// -parallel, -json, -tracering, -faults, -swapback, -swappolicy,
-// -auditevery, -maxevents, -celltimeout, -diagdir, -cpuprofile,
-// -memprofile, -server. Run `vswapsim -h` for the full descriptions.
+// run executes one experiment: a target ending in .yaml or .yml is a
+// declarative scenario (see internal/scenario and EXPERIMENTS.md), anything
+// else a registry id; a scenario mirroring a registry figure produces a
+// byte-identical report. report runs the whole registry, or the -only
+// ids, and is the source of EXPERIMENTS.md's measured numbers. validate
+// parses scenario files without running them, with file:line:col errors.
+// bench times quick-mode registry runs for BENCH_sim.json (see
+// scripts/bench.sh). serve is the HTTP daemon: a bounded job queue, a
+// content-addressed result cache, health and metrics endpoints, and a
+// drain that persists unfinished jobs for restart recovery.
 //
-// With -server URL the run is submitted to a vswapsimd daemon instead of
-// executing locally: repeated runs are served from the daemon's
-// content-addressed result cache (byte-identical to a cold run), and the
-// exit code mirrors the local semantics via the job's exit hint.
+// run and report share one flag set. -json prints the machine-readable
+// report instead of the text tables, -o FILE tees stdout to a file, and
+// -server URL submits the run to a `vswapsim serve` daemon instead of
+// executing it locally; the output is rendered the same way. Run
+// `vswapsim <command> -h` for the flags of one command.
 //
-// `vswapsim run scenarios/fig3.yaml` executes a declarative scenario
-// (see internal/scenario and EXPERIMENTS.md for the schema) through the
-// same executor as the hand-coded experiments: a scenario mirroring a
-// registry figure produces a byte-identical report. `vswapsim validate`
-// parses and validates scenario files without running them, printing
-// file:line:col positioned errors.
-//
-// With -json the experiment's machine-readable report is printed instead
-// of the text tables: tables and notes plus one run record per simulated
-// machine (counters, latency histograms, per-phase time accounting, and —
-// with -tracering — the trace tail). The JSON bytes are bit-identical
-// between serial (-parallel 1) and parallel runs.
-//
-// Run hardening: -maxevents and -celltimeout arm a per-cell watchdog that
-// kills runaway or livelocked cells; each kill (or panic) degrades to a
-// structured failure record in the report, and -diagdir writes one
-// replayable crash-diagnostics bundle per failed cell. SIGINT cancels
-// in-flight cells and still emits a valid partial report marked
-// "incomplete".
-//
-// Exit codes: 0 success, 1 failed cells or failed scenario assertions (or
-// runtime error), 2 usage, 3 incomplete (canceled by SIGINT or a fatal
-// wall-clock breach).
+// Exit codes: 0 success, 1 failed cells, failed scenario assertions, a
+// failed output write or another runtime error, 2 usage, 3 incomplete
+// (canceled by SIGINT or a fatal wall-clock breach; for serve, a forced
+// drain).
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"strings"
-	"syscall"
-	"time"
 
-	"vswapsim/internal/experiment"
-	"vswapsim/internal/fault"
-	"vswapsim/internal/scenario"
-	"vswapsim/internal/serve"
-	"vswapsim/internal/swapback"
+	"vswapsim/internal/cli"
 )
-
-// Exit codes.
-const (
-	exitOK         = 0
-	exitFailures   = 1
-	exitUsage      = 2
-	exitIncomplete = 3
-)
-
-// usageHeader precedes the flag listing in -h output; the usage test
-// asserts it stays in sync with the actual command forms.
-const usageHeader = `Usage:
-  vswapsim -list
-  vswapsim -run <id> [flags]
-  vswapsim run <scenario.yaml> [flags]
-  vswapsim validate <scenario.yaml>...
-
-Flags:
-`
-
-// cliConfig holds the parsed command line.
-type cliConfig struct {
-	list        bool
-	run         string
-	scale       float64
-	seed        uint64
-	quick       bool
-	parallel    int
-	jsonOut     bool
-	traceRing   int
-	faults      fault.Plan
-	swapback    swapback.Kind
-	swapPolicy  swapback.Policy
-	auditEvery  int
-	maxEvents   uint64
-	cellTimeout time.Duration
-	diagDir     string
-	cpuProfile  string
-	memProfile  string
-	server      string
-
-	// raw flag values parsed into faults/swapback/swapPolicy by parseArgs;
-	// kept verbatim so -server client mode can forward them unchanged.
-	faultSpec      string
-	swapbackName   string
-	swapPolicyName string
-}
-
-// newFlagSet registers every vswapsim flag on a fresh FlagSet. faultSpec
-// is returned separately because fault plans parse after flag.Parse.
-func newFlagSet(c *cliConfig) (fs *flag.FlagSet, faultSpec *string) {
-	fs = flag.NewFlagSet("vswapsim", flag.ContinueOnError)
-	fs.BoolVar(&c.list, "list", false, "list available experiments")
-	fs.StringVar(&c.run, "run", "", "experiment id to run (e.g. fig3)")
-	fs.Float64Var(&c.scale, "scale", 1.0, "size scale factor (1.0 = paper-sized)")
-	fs.Uint64Var(&c.seed, "seed", 42, "random seed")
-	fs.BoolVar(&c.quick, "quick", false, "trim sweeps for a fast smoke run")
-	fs.IntVar(&c.parallel, "parallel", runtime.GOMAXPROCS(0),
-		"max concurrent simulator runs (1 = serial; results are identical either way)")
-	fs.BoolVar(&c.jsonOut, "json", false,
-		"emit the machine-readable report (tables + per-run counters/histograms/phases) as JSON")
-	fs.IntVar(&c.traceRing, "tracering", 0,
-		"attach a trace ring of this capacity to every machine; run reports embed its tail")
-	fs.StringVar(&c.faultSpec, "faults", "",
-		"fault-injection spec, e.g. 'disk-read-err:0.01;disk-lat:0.05:2ms;swapin-fail:0.02'")
-	faultSpec = &c.faultSpec
-	fs.StringVar(&c.swapbackName, "swapback", "",
-		"swap-backend tier: "+strings.Join(swapback.KindNames(), ", ")+" (empty = hdd, the raw swap device)")
-	fs.StringVar(&c.swapPolicyName, "swappolicy", "",
-		"tiering policy for backends with a fast tier: "+strings.Join(swapback.PolicyNames(), ", ")+" (empty = writeback)")
-	fs.IntVar(&c.auditEvery, "auditevery", 0,
-		"run the invariant auditor every N simulated events (0 = off; a violation aborts the run)")
-	fs.Uint64Var(&c.maxEvents, "maxevents", 0,
-		"per-cell simulated-event budget; a breach kills only that cell, deterministically (0 = unlimited)")
-	fs.DurationVar(&c.cellTimeout, "celltimeout", 0,
-		"per-cell wall-clock budget (e.g. 30s); a breach is fatal and cancels the rest of the run (0 = unlimited)")
-	fs.StringVar(&c.diagDir, "diagdir", "",
-		"write one replayable crash-diagnostics bundle (JSON) per failed cell into this directory")
-	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file")
-	fs.StringVar(&c.server, "server", "",
-		"run via a vswapsimd daemon at this base URL (e.g. http://127.0.0.1:8080); repeated runs hit its result cache")
-	fs.Usage = func() {
-		fmt.Fprint(fs.Output(), usageHeader)
-		fs.PrintDefaults()
-	}
-	return fs, faultSpec
-}
-
-// parseArgs parses args (without the program name). Parse errors are
-// reported on stderr by the FlagSet itself.
-func parseArgs(args []string) (cliConfig, error) {
-	var c cliConfig
-	fs, faultSpec := newFlagSet(&c)
-	if err := fs.Parse(args); err != nil {
-		return c, err
-	}
-	if c.scale <= 0 || c.scale > 16 {
-		return c, fmt.Errorf("invalid -scale %v: must be in (0, 16]", c.scale)
-	}
-	if c.parallel < 1 {
-		return c, fmt.Errorf("invalid -parallel %d: must be >= 1", c.parallel)
-	}
-	if c.traceRing < 0 {
-		return c, fmt.Errorf("invalid -tracering %d: must be >= 0", c.traceRing)
-	}
-	if c.auditEvery < 0 {
-		return c, fmt.Errorf("invalid -auditevery %d: must be >= 0", c.auditEvery)
-	}
-	if c.cellTimeout < 0 {
-		return c, fmt.Errorf("invalid -celltimeout %v: must be >= 0", c.cellTimeout)
-	}
-	var err error
-	if c.faults, err = fault.ParsePlan(*faultSpec); err != nil {
-		return c, fmt.Errorf("invalid -faults: %v", err)
-	}
-	if c.swapback, err = swapback.ParseKind(c.swapbackName); err != nil {
-		return c, fmt.Errorf("invalid -swapback: %v", err)
-	}
-	if c.swapPolicy, err = swapback.ParsePolicy(c.swapPolicyName); err != nil {
-		return c, fmt.Errorf("invalid -swappolicy: %v", err)
-	}
-	return c, nil
-}
-
-// printFailures renders the failure records of a run as text, including
-// the trace-ring tail each record captured at the kill site.
-func printFailures(w io.Writer, fails []experiment.FailureRecord) {
-	fmt.Fprintf(w, "\n%d cell(s) FAILED:\n", len(fails))
-	for _, f := range fails {
-		fmt.Fprintf(w, "  [%s] %s\n    %s\n", f.Kind, f.Label, f.Message)
-		if n := len(f.Trace); n > 0 {
-			for _, ev := range f.Trace[max(0, n-4):] {
-				fmt.Fprintf(w, "    trace %8dns %-9s %s\n", ev.AtNS, ev.Kind, ev.Msg)
-			}
-		}
-	}
-}
-
-func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			return runScenarioCmd(args[1:], stdout, stderr)
-		case "validate":
-			return validateCmd(args[1:], stdout, stderr)
-		}
-	}
-	c, err := parseArgs(args)
-	if err != nil {
-		if err != flag.ErrHelp {
-			fmt.Fprintf(stderr, "vswapsim: %v (run 'vswapsim -h' for usage)\n", err)
-		}
-		return exitUsage
-	}
-
-	if c.list || c.run == "" {
-		fmt.Fprintln(stdout, "available experiments:")
-		for _, e := range experiment.Registry {
-			fmt.Fprintf(stdout, "  %-9s %-45s (%s)\n", e.ID, e.Title, e.PaperNote)
-		}
-		fmt.Fprintln(stdout, "\ndeclarative scenarios run with: vswapsim run <scenario.yaml> (see scenarios/)")
-		if c.run == "" && !c.list {
-			return exitUsage
-		}
-		return exitOK
-	}
-
-	e, err := experiment.ByID(c.run)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return exitFailures
-	}
-	if c.server != "" {
-		return runViaServer(c, serve.JobRequest{ID: e.ID}, stdout, stderr)
-	}
-	return executeExperiment(e, "", c, stdout, stderr)
-}
-
-// jobRequest forwards the CLI knobs into a daemon job, verbatim.
-func (c cliConfig) jobRequest(base serve.JobRequest) serve.JobRequest {
-	base.Seed = c.seed
-	base.Scale = c.scale
-	base.Quick = c.quick
-	base.Parallel = c.parallel
-	base.TraceRing = c.traceRing
-	base.Faults = c.faultSpec
-	base.Swapback = c.swapbackName
-	base.SwapPolicy = c.swapPolicyName
-	base.AuditEvery = c.auditEvery
-	base.MaxEvents = c.maxEvents
-	base.CellTimeoutMS = c.cellTimeout.Milliseconds()
-	return base
-}
-
-// runViaServer is the thin -server client mode: submit the job to a
-// vswapsimd daemon, wait for its terminal status, and print the result.
-// With -json the daemon's document is printed verbatim (cache hits are
-// byte-identical to cold runs by the daemon's contract); otherwise the
-// same tables a local run would print are rendered from it. The exit code
-// is the daemon's hint, matching local exit semantics.
-func runViaServer(c cliConfig, base serve.JobRequest, stdout, stderr io.Writer) int {
-	if c.diagDir != "" {
-		fmt.Fprintln(stderr, "vswapsim: -diagdir is local-only; use the daemon's -diagdir instead (run 'vswapsim -h' for usage)")
-		return exitUsage
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	st, err := serve.NewClient(c.server).Run(ctx, c.jobRequest(base))
-	if err != nil {
-		fmt.Fprintf(stderr, "vswapsim: %v\n", err)
-		return exitFailures
-	}
-	if st.Error != "" {
-		fmt.Fprintf(stderr, "vswapsim: job %s failed: %s\n", st.JobID, st.Error)
-	}
-	if c.jsonOut {
-		if len(st.Document) > 0 {
-			stdout.Write(st.Document)
-			io.WriteString(stdout, "\n")
-		}
-		return st.ExitHint
-	}
-	if len(st.Document) > 0 {
-		var doc experiment.JSONDocument
-		if err := json.Unmarshal(st.Document, &doc); err != nil {
-			fmt.Fprintf(stderr, "vswapsim: bad document from server: %v\n", err)
-			return exitFailures
-		}
-		for _, rep := range doc.Experiments {
-			fmt.Fprint(stdout, rep.Render())
-			if len(rep.Failures) > 0 {
-				printFailures(stdout, rep.Failures)
-			}
-		}
-		if doc.Incomplete {
-			fmt.Fprintln(stdout, "\nRUN INCOMPLETE: canceled before every cell finished")
-		}
-	}
-	hit := "miss"
-	if st.Cached {
-		hit = "hit"
-	}
-	fmt.Fprintf(stdout, "(served by %s: job %s, cache %s)\n", c.server, st.JobID, hit)
-	return st.ExitHint
-}
-
-// runScenarioCmd implements `vswapsim run <scenario.yaml> [flags]`.
-func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		fmt.Fprintln(stderr, "vswapsim run: missing scenario path (usage: vswapsim run <scenario.yaml> [flags])")
-		return exitUsage
-	}
-	path := args[0]
-	c, err := parseArgs(args[1:])
-	if err != nil {
-		if err != flag.ErrHelp {
-			fmt.Fprintf(stderr, "vswapsim run: %v (run 'vswapsim -h' for usage)\n", err)
-		}
-		return exitUsage
-	}
-	if c.list || c.run != "" {
-		fmt.Fprintln(stderr, "vswapsim run: -list/-run cannot be combined with a scenario file")
-		return exitUsage
-	}
-	if c.server != "" {
-		// Server mode ships the scenario bytes inline; the daemon parses,
-		// validates, and runs them with its own executor.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "vswapsim run: %v\n", err)
-			return exitUsage
-		}
-		return runViaServer(c, serve.JobRequest{Scenario: string(data)}, stdout, stderr)
-	}
-	sc, err := scenario.Load(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "vswapsim run: %v\n", err)
-		return exitUsage
-	}
-	// A scenario that declares its own backend tiers owns that axis: a
-	// non-default CLI tier would silently lose to (or fight with) the
-	// declaration, so the combination is a usage error rather than a
-	// precedence rule.
-	if c.swapback != swapback.HDD && len(sc.Backends) > 0 {
-		fmt.Fprintln(stderr, "vswapsim run: -swapback conflicts with the scenario's backend declaration")
-		return exitUsage
-	}
-	if c.swapPolicy != swapback.PolicyWriteback && sc.Policy != "" {
-		fmt.Fprintln(stderr, "vswapsim run: -swappolicy conflicts with the scenario's policy declaration")
-		return exitUsage
-	}
-	// Surface the scenario's own fault/audit configuration in the emitted
-	// document and diag bundles; an explicit CLI -faults keeps priority
-	// (and overrides the scenario's fault config entirely, including
-	// inject_faults timeline events).
-	if c.faults.Empty() {
-		c.faults = sc.Faults
-	}
-	if c.auditEvery == 0 {
-		c.auditEvery = sc.AuditEvery
-	}
-	return executeExperiment(experiment.FromScenario(sc), path, c, stdout, stderr)
-}
-
-// validateCmd implements `vswapsim validate <scenario.yaml>...`.
-func validateCmd(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		fmt.Fprintln(stderr, "vswapsim validate: no scenario files given (usage: vswapsim validate <scenario.yaml>...)")
-		return exitUsage
-	}
-	bad := 0
-	for _, path := range args {
-		sc, err := scenario.Load(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "INVALID %s: %v\n", path, err)
-			bad++
-			continue
-		}
-		fmt.Fprintf(stdout, "ok %s (%s, %s mode, %d schemes)\n", path, sc.Name, sc.Mode, len(sc.Schemes))
-	}
-	if bad > 0 {
-		fmt.Fprintf(stderr, "%d of %d scenario file(s) invalid\n", bad, len(args))
-		return exitFailures
-	}
-	return exitOK
-}
-
-// executeExperiment runs one experiment (registry entry or compiled
-// scenario) under the shared hardening/reporting path. scenarioPath is
-// non-empty for scenario runs and switches the diag-bundle replay hint
-// to the `vswapsim run <path>` form.
-func executeExperiment(e experiment.Experiment, scenarioPath string, c cliConfig, stdout, stderr io.Writer) int {
-	if c.cpuProfile != "" {
-		f, err := os.Create(c.cpuProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitFailures
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitFailures
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	// SIGINT/SIGTERM cancel in-flight cells via the watchdog poll; the
-	// partial report is still emitted, marked incomplete. stop doubles as
-	// the fatal-breach cancel hook.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	opts := experiment.Options{
-		Seed: c.seed, Scale: c.scale, Quick: c.quick,
-		Parallel: c.parallel, TraceRing: c.traceRing,
-		Faults: c.faults, Swapback: c.swapback, SwapPolicy: c.swapPolicy,
-		AuditEvery: c.auditEvery,
-		MaxEvents:  c.maxEvents, CellTimeout: c.cellTimeout,
-		Ctx: ctx, CancelRun: stop,
-	}
-	start := time.Now()
-	r := experiment.RunAll([]experiment.Experiment{e}, opts, nil)[0]
-	elapsed := time.Since(start)
-	incomplete := ctx.Err() != nil
-
-	if c.jsonOut {
-		doc := experiment.BuildJSONDocument(opts,
-			[]*experiment.JSONReport{experiment.BuildJSON(r.Report, r.Runs, r.Failures)})
-		doc.Incomplete = incomplete
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitFailures
-		}
-	} else {
-		fmt.Fprint(stdout, r.Report.String())
-		fmt.Fprintf(stdout, "(generated in %v wall time, -parallel %d)\n", elapsed.Round(time.Millisecond), c.parallel)
-		if len(r.Failures) > 0 {
-			printFailures(stdout, r.Failures)
-		}
-		if incomplete {
-			fmt.Fprintln(stdout, "\nRUN INCOMPLETE: canceled before every cell finished")
-		}
-	}
-
-	if c.diagDir != "" && len(r.Failures) > 0 {
-		replay := experiment.ReplayCommand("vswapsim", e.ID, opts)
-		if scenarioPath != "" {
-			replay = experiment.ScenarioReplayCommand(scenarioPath, opts)
-		}
-		paths, err := experiment.WriteDiagBundlesReplay(c.diagDir, "vswapsim", e.ID, replay, opts, r.Failures)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitFailures
-		}
-		fmt.Fprintf(stderr, "wrote %d crash-diagnostics bundle(s) to %s\n", len(paths), c.diagDir)
-	}
-
-	if c.memProfile != "" {
-		f, err := os.Create(c.memProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitFailures
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitFailures
-		}
-	}
-
-	switch {
-	case incomplete:
-		return exitIncomplete
-	case len(r.Failures) > 0 || r.Report.AssertionFailures > 0:
-		return exitFailures
-	}
-	return exitOK
-}
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(cli.Main(os.Args[1:], os.Stdout, os.Stderr))
 }

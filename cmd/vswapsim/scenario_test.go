@@ -5,63 +5,84 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"vswapsim/internal/cli"
 )
 
-// registeredFlags returns the name of every flag vswapsim registers.
-func registeredFlags(t *testing.T) []string {
-	t.Helper()
-	var c cliConfig
-	fs, _ := newFlagSet(&c)
+// registeredFlags returns the name of every flag cmd registers.
+func registeredFlags(cmd string) []string {
 	var names []string
-	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	cli.NewFlagSet(cmd, &cli.Flags{}).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatal("no flags registered")
-	}
 	return names
 }
 
-// TestUsageMentionsEveryFlag pins -h output against flag-registration
-// drift: every registered flag must appear in the rendered usage, and the
-// header must list all four command forms.
-func TestUsageMentionsEveryFlag(t *testing.T) {
-	var c cliConfig
-	fs, _ := newFlagSet(&c)
-	var buf bytes.Buffer
-	fs.SetOutput(&buf)
-	fs.Usage()
-	usage := buf.String()
-	for _, name := range registeredFlags(t) {
-		if !strings.Contains(usage, "-"+name) {
-			t.Errorf("usage output does not mention registered flag -%s", name)
+// localCommands are the subcommands tested here; serve's drift tests sit
+// with its other tests in cmd/vswapsimd.
+func localCommands() []string {
+	var cmds []string
+	for _, c := range cli.Commands() {
+		if c != "serve" {
+			cmds = append(cmds, c)
 		}
 	}
+	return cmds
+}
+
+// TestUsageMentionsEveryFlag pins -h output against flag-registration
+// drift: every flag a subcommand registers must appear in its rendered
+// usage, and the top-level usage must list every command form.
+func TestUsageMentionsEveryFlag(t *testing.T) {
+	for _, cmd := range localCommands() {
+		var buf bytes.Buffer
+		fs := cli.NewFlagSet(cmd, &cli.Flags{})
+		fs.SetOutput(&buf)
+		fs.Usage()
+		usage := buf.String()
+		if !strings.Contains(usage, "vswapsim "+cmd) {
+			t.Errorf("%s usage does not show its command form:\n%s", cmd, usage)
+		}
+		for _, name := range registeredFlags(cmd) {
+			if !strings.Contains(usage, "-"+name) {
+				t.Errorf("%s usage does not mention registered flag -%s", cmd, name)
+			}
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != exitUsage {
+		t.Fatalf("vswapsim -h = %d, want %d", code, exitUsage)
+	}
 	for _, form := range []string{
-		"vswapsim -list",
-		"vswapsim -run <id>",
-		"vswapsim run <scenario.yaml>",
+		"vswapsim list",
+		"vswapsim run <id|scenario.yaml>",
+		"vswapsim report [-only ids] [-csv dir]",
 		"vswapsim validate <scenario.yaml>",
+		"vswapsim bench [-iters N] [-only ids]",
+		"vswapsim serve",
 	} {
-		if !strings.Contains(usage, form) {
-			t.Errorf("usage header does not list command form %q", form)
+		if !strings.Contains(stderr.String(), form) {
+			t.Errorf("usage does not list command form %q:\n%s", form, stderr.String())
 		}
 	}
 }
 
-// TestREADMEDocumentsEveryFlag keeps the README's flag table honest: a
-// flag added to the binary without a README row fails here.
+// TestREADMEDocumentsEveryFlag keeps the README's flag tables honest: a
+// flag added to a subcommand without a README row fails here.
 func TestREADMEDocumentsEveryFlag(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	readme := string(data)
-	for _, name := range registeredFlags(t) {
-		if !strings.Contains(readme, "`-"+name) {
-			t.Errorf("README.md does not document flag -%s", name)
+	for _, cmd := range localCommands() {
+		for _, name := range registeredFlags(cmd) {
+			if !regexp.MustCompile("`-" + name + "[ `]").MatchString(readme) {
+				t.Errorf("README.md does not document %s flag -%s", cmd, name)
+			}
 		}
 	}
 	if !strings.Contains(readme, "vswapsim run scenarios/") {
@@ -71,7 +92,7 @@ func TestREADMEDocumentsEveryFlag(t *testing.T) {
 
 // TestScenarioCLIEquivalence is the end-to-end half of the equivalence
 // guarantee: `vswapsim run scenarios/fig3.yaml -json` must write the very
-// bytes `vswapsim -run fig3 -json` writes, through the real CLI path
+// bytes `vswapsim run fig3 -json` writes, through the real CLI path
 // (document header included — same -parallel, so headers agree too).
 func TestScenarioCLIEquivalence(t *testing.T) {
 	common := []string{"-json", "-quick", "-scale", "0.125", "-seed", "42", "-parallel", "1"}
@@ -81,7 +102,7 @@ func TestScenarioCLIEquivalence(t *testing.T) {
 	if code := run(args, &yamlOut, &errBuf); code != exitOK {
 		t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
 	}
-	args = append([]string{"-run", "fig3"}, common...)
+	args = append([]string{"run", "fig3"}, common...)
 	if code := run(args, &goOut, &errBuf); code != exitOK {
 		t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
 	}

@@ -13,8 +13,8 @@ import (
 	"vswapsim/internal/serve"
 )
 
-// TestCLIValidationConsistency pins satellite-level flag hygiene: every
-// entry point (-run form and the run subcommand) rejects -parallel <= 0
+// TestCLIValidationConsistency pins flag hygiene: both target kinds of
+// the run subcommand (registry id and scenario file) reject -parallel <= 0
 // and -auditevery < 0 the same way — exit 2 plus the one-line usage hint.
 func TestCLIValidationConsistency(t *testing.T) {
 	scenarioPath := filepath.Join("..", "..", "scenarios", "fig3.yaml")
@@ -25,7 +25,7 @@ func TestCLIValidationConsistency(t *testing.T) {
 	}
 	for _, flags := range bad {
 		for _, entry := range [][]string{
-			append([]string{"-run", "fig3"}, flags...),
+			append([]string{"run", "fig3"}, flags...),
 			append([]string{"run", scenarioPath}, flags...),
 		} {
 			var stdout, stderr bytes.Buffer
@@ -61,12 +61,12 @@ func startServeBackend(t *testing.T) string {
 	return ts.URL
 }
 
-// TestServerModeRegistry: `vswapsim -run ... -server URL` round-trips a
+// TestServerModeRegistry: `vswapsim run <id> -server URL` round-trips a
 // registry experiment through the daemon; the second (cached) run prints
 // byte-identical -json output.
 func TestServerModeRegistry(t *testing.T) {
 	url := startServeBackend(t)
-	args := []string{"-run", "tab1", "-quick", "-server", url}
+	args := []string{"run", "tab1", "-quick", "-server", url}
 
 	var text, stderr bytes.Buffer
 	if code := run(args, &text, &stderr); code != exitOK {
@@ -142,11 +142,56 @@ table:
 // combining -server with -diagdir is a usage error, not a silent no-op.
 func TestServerModeRejectsDiagdir(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-run", "tab1", "-server", "http://127.0.0.1:1", "-diagdir", t.TempDir()}
+	args := []string{"run", "tab1", "-server", "http://127.0.0.1:1", "-diagdir", t.TempDir()}
 	if code := run(args, &stdout, &stderr); code != exitUsage {
 		t.Fatalf("run = %d, want %d", code, exitUsage)
 	}
 	if !strings.Contains(stderr.String(), "-diagdir") {
 		t.Fatalf("stderr does not explain the conflict: %s", stderr.String())
+	}
+}
+
+// TestServerModeScenarioMatchesLocal: a scenario's own faults: and
+// audit_every: reach the served document exactly as they reach a local
+// one, because both sides compile the job the same way. The documents
+// differ only in "parallel", which job documents omit by design.
+func TestServerModeScenarioMatchesLocal(t *testing.T) {
+	url := startServeBackend(t)
+	path := filepath.Join(t.TempDir(), "faulty.yaml")
+	yaml := `scenario: faulty
+title: "scenario-level faults, local vs served"
+mode: single
+faults: "disk-lat:0.05:2ms"
+audit_every: 4096
+fleet:
+  memory_mb: 128
+  actual_mb: 64
+schemes:
+  - name: baseline
+workload:
+  kind: seqread
+  file_mb: 8
+table:
+  title: "runtime [sec]"
+`
+	if err := os.WriteFile(path, []byte(yaml), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var local, served, stderr bytes.Buffer
+	if code := run([]string{"run", path, "-json", "-parallel", "1"}, &local, &stderr); code != exitOK {
+		t.Fatalf("local run = %d, stderr %s", code, stderr.String())
+	}
+	if code := run([]string{"run", path, "-json", "-server", url}, &served, &stderr); code != exitOK {
+		t.Fatalf("served run = %d, stderr %s", code, stderr.String())
+	}
+	want := strings.Replace(local.String(), "  \"parallel\": 1,\n", "", 1)
+	if want == local.String() {
+		t.Fatalf("local document has no parallel line:\n%s", local.String())
+	}
+	if !strings.Contains(want, `"faults": "disk-lat:0.05:2ms"`) {
+		t.Fatalf("local document lacks the scenario's faults:\n%s", want)
+	}
+	if served.String() != want {
+		t.Fatalf("served document differs from the local one:\n--- served ---\n%s\n--- local ---\n%s", served.String(), want)
 	}
 }

@@ -14,7 +14,8 @@ import (
 
 // This file writes crash-diagnostics bundles: one self-contained JSON
 // file per failed cell, pairing the FailureRecord with every invocation
-// parameter needed to replay it. The CLIs wire it to -diagdir.
+// parameter needed to replay it. `vswapsim run`/`report` wire it to
+// -diagdir, and `vswapsim serve` to its own -diagdir.
 
 // DiagBundle is one crash-diagnostics file. Replaying the Replay command
 // re-runs the failing experiment with the exact seed, scale and fault
@@ -39,59 +40,36 @@ type DiagBundle struct {
 	Failure     FailureRecord `json:"failure"`
 }
 
-// ReplayCommand renders the CLI invocation that reproduces the failing
-// experiment deterministically. -celltimeout is intentionally omitted:
-// wall-clock kills are not reproducible, and replays should run to the
-// deterministic failure (or to completion) instead.
-func ReplayCommand(cmd, expID string, o Options) string {
+// replayCommand renders the `vswapsim run` invocation that reproduces a
+// failing run deterministically; target is a registry id or a scenario
+// path. -celltimeout is intentionally omitted: wall-clock kills are not
+// reproducible, and replays should run to the deterministic failure (or
+// to completion) instead. Each optional flag is omitted at its default.
+func replayCommand(target string, o Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "go run ./cmd/%s", cmd)
-	if cmd == "vswapper-report" {
-		fmt.Fprintf(&b, " -only %s", expID)
-	} else {
-		fmt.Fprintf(&b, " -run %s", expID)
-	}
-	fmt.Fprintf(&b, " -seed %d -scale %g", o.Seed, o.Scale)
-	replayFlags(&b, o)
-	return b.String()
-}
-
-// ScenarioReplayCommand renders the CLI invocation that replays a
-// scenario run deterministically (the `vswapsim run <path>` form).
-// -celltimeout is omitted for the same reason as in ReplayCommand.
-func ScenarioReplayCommand(path string, o Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "go run ./cmd/vswapsim run %s", path)
-	fmt.Fprintf(&b, " -seed %d -scale %g", o.Seed, o.Scale)
-	replayFlags(&b, o)
-	return b.String()
-}
-
-// replayFlags appends the optional flags both replay forms share, each
-// omitted at its default so replay commands for pre-existing invocations
-// render unchanged.
-func replayFlags(b *strings.Builder, o Options) {
+	fmt.Fprintf(&b, "go run ./cmd/vswapsim run %s -seed %d -scale %g", target, o.Seed, o.Scale)
 	if o.Quick {
 		b.WriteString(" -quick")
 	}
 	if !o.Faults.Empty() {
-		fmt.Fprintf(b, " -faults '%s'", o.Faults.String())
+		fmt.Fprintf(&b, " -faults '%s'", o.Faults.String())
 	}
 	if o.Swapback != swapback.HDD {
-		fmt.Fprintf(b, " -swapback %s", o.Swapback)
+		fmt.Fprintf(&b, " -swapback %s", o.Swapback)
 	}
 	if o.SwapPolicy != swapback.PolicyWriteback {
-		fmt.Fprintf(b, " -swappolicy %s", o.SwapPolicy)
+		fmt.Fprintf(&b, " -swappolicy %s", o.SwapPolicy)
 	}
 	if o.AuditEvery > 0 {
-		fmt.Fprintf(b, " -auditevery %d", o.AuditEvery)
+		fmt.Fprintf(&b, " -auditevery %d", o.AuditEvery)
 	}
 	if o.MaxEvents > 0 {
-		fmt.Fprintf(b, " -maxevents %d", o.MaxEvents)
+		fmt.Fprintf(&b, " -maxevents %d", o.MaxEvents)
 	}
 	if o.TraceRing > 0 {
-		fmt.Fprintf(b, " -tracering %d", o.TraceRing)
+		fmt.Fprintf(&b, " -tracering %d", o.TraceRing)
 	}
+	return b.String()
 }
 
 // bundleFileName derives a stable, filesystem-safe name for a failure's
@@ -102,16 +80,10 @@ func bundleFileName(expID string, f FailureRecord) string {
 }
 
 // WriteDiagBundles writes one bundle per failure into dir (created if
-// missing) and returns the paths written. cmd names the CLI for the
-// replay hint; expID is the experiment the failures belong to.
-func WriteDiagBundles(dir, cmd, expID string, o Options, fails []FailureRecord) ([]string, error) {
-	return WriteDiagBundlesReplay(dir, cmd, expID, ReplayCommand(cmd, expID, o.normalized()), o, fails)
-}
-
-// WriteDiagBundlesReplay is WriteDiagBundles with an explicit replay
-// command (scenario runs replay via `vswapsim run <path>` rather than
-// `-run <id>`).
-func WriteDiagBundlesReplay(dir, cmd, expID, replay string, o Options, fails []FailureRecord) ([]string, error) {
+// missing) and returns the paths written. cmd names the command that ran
+// the experiment, expID the experiment the failures belong to, and target
+// what the replay command runs (the id, or the scenario's path).
+func WriteDiagBundles(dir, cmd, expID, target string, o Options, fails []FailureRecord) ([]string, error) {
 	if len(fails) == 0 {
 		return nil, nil
 	}
@@ -119,6 +91,7 @@ func WriteDiagBundlesReplay(dir, cmd, expID, replay string, o Options, fails []F
 		return nil, err
 	}
 	o = o.normalized()
+	replay := replayCommand(target, o)
 	var paths []string
 	for _, f := range fails {
 		b := DiagBundle{

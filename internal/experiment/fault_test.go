@@ -40,7 +40,7 @@ func faultOpts(plan fault.Plan) Options {
 // invariant auditor attached. Any violation carries the seed and the
 // canonical plan spec, so a failure here is replayable with
 //
-//	go run ./cmd/vswapsim -run fig3 -quick -scale 0.0625 -seed <seed> \
+//	go run ./cmd/vswapsim run fig3 -quick -scale 0.0625 -seed <seed> \
 //	    -faults '<spec>' -swapback <tier> -auditevery 1
 func TestFaultPlanPropertySweep(t *testing.T) {
 	seeds := 50

@@ -83,7 +83,7 @@ func TestFleetScenarioMirrorsRegistry(t *testing.T) {
 }
 
 // BenchmarkRegistry times each experiment end to end at the golden
-// configuration (quick, 1/8 scale, serial) — the same cells benchsim and
+// configuration (quick, 1/8 scale, serial) — the same cells `vswapsim bench` and
 // BENCH_sim.json measure. BenchmarkRegistry/fleetN is the large-fleet
 // stress benchmark:
 //

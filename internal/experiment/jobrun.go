@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the job-granular entry point the serving daemon
-// (internal/serve, cmd/vswapsimd) builds on: one experiment in, one
+// (internal/serve, `vswapsim serve`) builds on: one experiment in, one
 // machine-readable document out, with the properties content-addressed
 // caching needs spelled out and enforced here.
 //

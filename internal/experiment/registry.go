@@ -1,6 +1,13 @@
 package experiment
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrUnknownExperiment is wrapped by every lookup of an id the registry
+// does not hold; the CLI maps it to exit code 1 rather than a usage error.
+var ErrUnknownExperiment = errors.New("unknown experiment")
 
 // Registry lists every reproduced table and figure in paper order.
 var Registry = []Experiment{
@@ -32,7 +39,7 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("unknown experiment %q", id)
+	return Experiment{}, fmt.Errorf("%w %q", ErrUnknownExperiment, id)
 }
 
 // IDs lists all experiment ids in order.

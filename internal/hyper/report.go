@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the machine-level half of the observability layer: a typed,
-// machine-readable summary of one simulation run. cmd/vswapsim -json and
-// cmd/vswapper-report -json serialize it; the experiment layer collects one
+// machine-readable summary of one simulation run. `vswapsim run -json` and
+// `vswapsim report -json` serialize it; the experiment layer collects one
 // per simulated machine.
 
 // traceTail bounds how many trailing trace events a report embeds when

@@ -1,5 +1,5 @@
 // Package serve is the simulation-as-a-service layer (ROADMAP item 5):
-// a long-running HTTP daemon (cmd/vswapsimd) that accepts experiment and
+// a long-running HTTP daemon (`vswapsim serve`) that accepts experiment and
 // scenario jobs, runs them on a bounded worker pool reusing the parallel
 // executor, and memoizes results in a crash-safe content-addressed cache.
 //
@@ -83,98 +83,76 @@ func (r JobRequest) target() string {
 	return r.ID
 }
 
-// validate checks the request against the same contracts the CLIs
-// enforce, returning a client-facing error. The parsed scenario (when
-// inline) is returned so compile need not parse twice.
-func (r JobRequest) validate() (*scenario.Scenario, error) {
+// Compile validates the request and resolves it into the experiment and
+// executor options it names. It is the one validator behind every entry
+// point: local vswapsim runs, the -server client before it submits, and
+// the daemon on admission and before running. A scenario's own faults:
+// and audit_every: fold into the options unless the request sets its own,
+// so local and served documents report the same configuration. Zero
+// values are not defaulted here (the daemon calls normalize first): the
+// command line binds explicit defaults, so a zero -scale is an error, not
+// "use 1.0".
+func (r JobRequest) Compile() (experiment.Experiment, experiment.Options, error) {
+	var e experiment.Experiment
+	var o experiment.Options
 	if (r.ID == "") == (r.Scenario == "") {
-		return nil, fmt.Errorf("exactly one of \"id\" and \"scenario\" must be set")
+		return e, o, fmt.Errorf("exactly one of \"id\" and \"scenario\" must be set")
 	}
 	if r.Scale <= 0 || r.Scale > 16 {
-		return nil, fmt.Errorf("invalid scale %v: must be in (0, 16]", r.Scale)
+		return e, o, fmt.Errorf("invalid scale %v: must be in (0, 16]", r.Scale)
 	}
 	if r.Parallel < 0 {
-		return nil, fmt.Errorf("invalid parallel %d: must be >= 0 (0 = server default)", r.Parallel)
+		return e, o, fmt.Errorf("invalid parallel %d: must be >= 0 (0 = server default)", r.Parallel)
 	}
 	if r.TraceRing < 0 {
-		return nil, fmt.Errorf("invalid tracering %d: must be >= 0", r.TraceRing)
+		return e, o, fmt.Errorf("invalid tracering %d: must be >= 0", r.TraceRing)
 	}
 	if r.AuditEvery < 0 {
-		return nil, fmt.Errorf("invalid auditevery %d: must be >= 0", r.AuditEvery)
+		return e, o, fmt.Errorf("invalid auditevery %d: must be >= 0", r.AuditEvery)
 	}
 	if r.CellTimeoutMS < 0 {
-		return nil, fmt.Errorf("invalid celltimeout_ms %d: must be >= 0", r.CellTimeoutMS)
+		return e, o, fmt.Errorf("invalid celltimeout %v: must be >= 0", time.Duration(r.CellTimeoutMS)*time.Millisecond)
 	}
-	if _, err := fault.ParsePlan(r.Faults); err != nil {
-		return nil, fmt.Errorf("invalid faults: %v", err)
-	}
-	kind, err := swapback.ParseKind(r.Swapback)
-	if err != nil {
-		return nil, fmt.Errorf("invalid swapback: %v", err)
-	}
-	pol, err := swapback.ParsePolicy(r.SwapPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("invalid swappolicy: %v", err)
-	}
-	if r.ID != "" {
-		if _, err := experiment.ByID(r.ID); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	sc, err := scenario.Parse([]byte(r.Scenario))
-	if err != nil {
-		return nil, fmt.Errorf("invalid scenario: %v", err)
-	}
-	// Mirror the CLI contract: a scenario that declares its own backend
-	// axis owns it; a non-default request tier would silently fight it.
-	if kind != swapback.HDD && len(sc.Backends) > 0 {
-		return nil, fmt.Errorf("swapback conflicts with the scenario's backend declaration")
-	}
-	if pol != swapback.PolicyWriteback && sc.Policy != "" {
-		return nil, fmt.Errorf("swappolicy conflicts with the scenario's policy declaration")
-	}
-	return sc, nil
-}
-
-// options compiles the request into executor Options, applying the
-// server-side budget caps: a job may tighten the watchdogs but never
-// loosen them past the daemon's ceilings.
-func (r JobRequest) options(defaultParallel int, maxEventsCap uint64, cellTimeoutCap time.Duration) experiment.Options {
-	plan, _ := fault.ParsePlan(r.Faults) // validated
-	kind, _ := swapback.ParseKind(r.Swapback)
-	pol, _ := swapback.ParsePolicy(r.SwapPolicy)
-	par := r.Parallel
-	if par <= 0 {
-		par = defaultParallel
-	}
-	maxEvents := r.MaxEvents
-	if maxEventsCap > 0 && (maxEvents == 0 || maxEvents > maxEventsCap) {
-		maxEvents = maxEventsCap
-	}
-	cellTimeout := time.Duration(r.CellTimeoutMS) * time.Millisecond
-	if cellTimeoutCap > 0 && (cellTimeout == 0 || cellTimeout > cellTimeoutCap) {
-		cellTimeout = cellTimeoutCap
-	}
-	return experiment.Options{
+	o = experiment.Options{
 		Seed: r.Seed, Scale: r.Scale, Quick: r.Quick,
-		Parallel: par, TraceRing: r.TraceRing,
-		Faults: plan, Swapback: kind, SwapPolicy: pol,
-		AuditEvery: r.AuditEvery,
-		MaxEvents:  maxEvents, CellTimeout: cellTimeout,
+		Parallel: r.Parallel, TraceRing: r.TraceRing,
+		AuditEvery: r.AuditEvery, MaxEvents: r.MaxEvents,
+		CellTimeout: time.Duration(r.CellTimeoutMS) * time.Millisecond,
 	}
-}
-
-// experiment resolves the request's target into a runnable Experiment.
-func (r JobRequest) experiment() (experiment.Experiment, error) {
+	var err error
+	if o.Faults, err = fault.ParsePlan(r.Faults); err != nil {
+		return e, o, fmt.Errorf("invalid faults: %v", err)
+	}
+	if o.Swapback, err = swapback.ParseKind(r.Swapback); err != nil {
+		return e, o, fmt.Errorf("invalid swapback: %v", err)
+	}
+	if o.SwapPolicy, err = swapback.ParsePolicy(r.SwapPolicy); err != nil {
+		return e, o, fmt.Errorf("invalid swappolicy: %v", err)
+	}
 	if r.ID != "" {
-		return experiment.ByID(r.ID)
+		e, err = experiment.ByID(r.ID)
+		return e, o, err
 	}
 	sc, err := scenario.Parse([]byte(r.Scenario))
 	if err != nil {
-		return experiment.Experiment{}, fmt.Errorf("invalid scenario: %v", err)
+		return e, o, fmt.Errorf("invalid scenario: %v", err)
 	}
-	return experiment.FromScenario(sc), nil
+	// A scenario that declares its own backend axis owns it: a non-default
+	// request tier would silently lose to (or fight with) the declaration,
+	// so the combination is an error rather than a precedence rule.
+	if o.Swapback != swapback.HDD && len(sc.Backends) > 0 {
+		return e, o, fmt.Errorf("swapback conflicts with the scenario's backend declaration")
+	}
+	if o.SwapPolicy != swapback.PolicyWriteback && sc.Policy != "" {
+		return e, o, fmt.Errorf("swappolicy conflicts with the scenario's policy declaration")
+	}
+	if o.Faults.Empty() {
+		o.Faults = sc.Faults
+	}
+	if o.AuditEvery == 0 {
+		o.AuditEvery = sc.AuditEvery
+	}
+	return experiment.FromScenario(sc), o, nil
 }
 
 // Event is one progress notification on a job's event stream.

@@ -141,6 +141,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// limit applies the daemon's side of a compiled job's options: its
+// default parallelism when the job leaves it 0, and the watchdog
+// ceilings — a job may tighten the budgets but never loosen them.
+func (c Config) limit(o experiment.Options) experiment.Options {
+	if o.Parallel <= 0 {
+		o.Parallel = c.Parallel
+	}
+	if c.MaxEventsCap > 0 && (o.MaxEvents == 0 || o.MaxEvents > c.MaxEventsCap) {
+		o.MaxEvents = c.MaxEventsCap
+	}
+	if c.CellTimeoutCap > 0 && (o.CellTimeout == 0 || o.CellTimeout > c.CellTimeoutCap) {
+		o.CellTimeout = c.CellTimeoutCap
+	}
+	return o
+}
+
 // job is the server-side record of one submitted job. All mutable fields
 // are guarded by Server.mu.
 type job struct {
@@ -293,7 +309,7 @@ func (s *Server) loadState() ([]*job, uint64, error) {
 	var out []*job
 	for _, p := range st.Pending {
 		req := p.Request.normalize()
-		if _, err := req.validate(); err != nil {
+		if _, _, err := req.Compile(); err != nil {
 			continue
 		}
 		out = append(out, &job{
@@ -374,12 +390,11 @@ func (s *Server) safeRun(ctx context.Context, j *job) (payload []byte, out Outco
 			err = fmt.Errorf("job panicked: %s", rec.Message)
 		}
 	}()
-	e, cerr := j.req.experiment()
+	e, o, cerr := j.req.Compile()
 	if cerr != nil {
 		return nil, Outcome{}, cerr
 	}
-	o := j.req.options(s.cfg.Parallel, s.cfg.MaxEventsCap, s.cfg.CellTimeoutCap)
-	return s.cfg.Runner(ctx, j.req, e, o)
+	return s.cfg.Runner(ctx, j.req, e, s.cfg.limit(o))
 }
 
 // finishJob records a completed execution: caches clean results, writes
@@ -433,7 +448,7 @@ func (s *Server) finishJob(j *job, payload []byte, out Outcome, err error) {
 }
 
 // writeDiagBundles persists one replayable crash-diagnostics bundle per
-// failure record when DiagDir is configured, mirroring the CLIs' -diagdir.
+// failure record when DiagDir is configured, mirroring `vswapsim run -diagdir`.
 func (s *Server) writeDiagBundles(j *job, out Outcome) {
 	if s.cfg.DiagDir == "" {
 		return
@@ -445,17 +460,17 @@ func (s *Server) writeDiagBundles(j *job, out Outcome) {
 	if len(recs) == 0 {
 		return
 	}
-	o := j.req.options(s.cfg.Parallel, s.cfg.MaxEventsCap, s.cfg.CellTimeoutCap)
-	target := j.req.target()
-	replay := experiment.ReplayCommand("vswapsim", target, o)
-	if j.req.Scenario != "" {
-		replay = "POST the same scenario job to vswapsimd, or save the YAML and run: " +
-			experiment.ScenarioReplayCommand("<scenario.yaml>", o)
+	_, o, err := j.req.Compile()
+	if err != nil {
+		return // admission compiled it; only a registry change can fail here
 	}
-	dir := filepath.Join(s.cfg.DiagDir)
-	if _, err := experiment.WriteDiagBundlesReplay(dir, "vswapsimd", target, replay, o, recs); err != nil {
+	target, replay := j.req.target(), j.req.ID
+	if j.req.Scenario != "" {
+		replay = "<scenario.yaml>"
+	}
+	if _, err := experiment.WriteDiagBundles(s.cfg.DiagDir, "vswapsim serve", target, replay, s.cfg.limit(o), recs); err != nil {
 		// Diagnostics are best-effort; the failure is already in the job.
-		fmt.Fprintf(os.Stderr, "vswapsimd: writing diag bundles: %v\n", err)
+		fmt.Fprintf(os.Stderr, "vswapsim serve: writing diag bundles: %v\n", err)
 	}
 }
 
@@ -726,7 +741,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.normalize()
-	if _, err := req.validate(); err != nil {
+	if _, _, err := req.Compile(); err != nil {
 		s.mu.Lock()
 		s.cRejBad.Inc()
 		s.mu.Unlock()

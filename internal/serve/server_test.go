@@ -712,7 +712,11 @@ func TestBudgetCaps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := tc.req.normalize().options(2, tc.maxEventsCap, tc.cellTimeoutCap)
+			_, o, err := tc.req.normalize().Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o = Config{Parallel: 2, MaxEventsCap: tc.maxEventsCap, CellTimeoutCap: tc.cellTimeoutCap}.limit(o)
 			if o.MaxEvents != tc.wantMaxEvents {
 				t.Errorf("MaxEvents = %d, want %d", o.MaxEvents, tc.wantMaxEvents)
 			}

@@ -7,7 +7,7 @@
 #   - A best-of-N wall-time regression beyond THRESHOLD (default 1.15, i.e.
 #     >15% slower) fails the performance budget for that entry.
 #
-# Usage: scripts/bench_gate.sh [extra benchsim flags...]
+# Usage: scripts/bench_gate.sh [extra `vswapsim bench` flags...]
 #   IDS=fig5,fig11 THRESHOLD=1.15 scripts/bench_gate.sh -iters 3
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,7 +17,7 @@ threshold=${THRESHOLD:-1.15}
 fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT
 
-go run ./cmd/benchsim -only "$ids" -o "$fresh" "$@"
+go run ./cmd/vswapsim bench -only "$ids" "$@" > "$fresh"
 
 fail=0
 IFS=, read -ra id_list <<<"$ids"
